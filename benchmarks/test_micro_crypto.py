@@ -18,6 +18,7 @@ from repro.crypto.rsa import RsaKeyPair
 KEY = secrets.token_bytes(32)
 NONCE = secrets.token_bytes(12)
 RECORD = secrets.token_bytes(512)  # a typical encrypted query record
+REPLY = secrets.token_bytes(3 * 1024)  # a typical sealed search reply
 
 
 def test_aead_encrypt_512b(benchmark):
@@ -28,6 +29,13 @@ def test_aead_encrypt_512b(benchmark):
 def test_aead_decrypt_512b(benchmark):
     sealed = aead_encrypt(KEY, NONCE, RECORD)
     assert benchmark(aead_decrypt, KEY, NONCE, sealed) == RECORD
+
+
+def test_aead_roundtrip_3kb_reply(benchmark):
+    def roundtrip():
+        return aead_decrypt(KEY, NONCE, aead_encrypt(KEY, NONCE, REPLY))
+
+    assert benchmark(roundtrip) == REPLY
 
 
 def test_aead_encrypt_16kb_result_page(benchmark):

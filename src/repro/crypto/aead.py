@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.crypto.chacha20 import (
-    KEY_SIZE,
-    NONCE_SIZE,
-    chacha20_block,
-    chacha20_encrypt,
-)
+from repro.crypto.chacha20 import BLOCK_SIZE, KEY_SIZE, NONCE_SIZE, chacha20_encrypt
 from repro.crypto.poly1305 import TAG_SIZE, constant_time_equal, poly1305_mac
 from repro.errors import AuthenticationError, CryptoError
 
@@ -29,9 +24,17 @@ def _pad16(data: bytes) -> bytes:
     return b"\x00" * (16 - remainder)
 
 
-def _poly1305_key(key: bytes, nonce: bytes) -> bytes:
-    """Derive the per-nonce Poly1305 one-time key from ChaCha20 block 0."""
-    return chacha20_block(key, 0, nonce)[:32]
+def _keyed_stream(key: bytes, nonce: bytes, data: bytes) -> tuple[bytes, bytes]:
+    """Return ``(poly1305_one_time_key, data XOR keystream-from-block-1)``.
+
+    One ChaCha20 call from counter 0 over a zero block followed by
+    ``data``: block 0 yields the Poly1305 one-time key (its first 32
+    bytes, RFC 8439 §2.6) and blocks 1.. encrypt the payload (§2.8).
+    """
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise CryptoError("AEAD operates on bytes-like data")
+    stream = chacha20_encrypt(key, 0, nonce, bytes(BLOCK_SIZE) + data)
+    return stream[:32], stream[BLOCK_SIZE:]
 
 
 def _compute_tag(otk: bytes, aad: bytes, ciphertext: bytes) -> bytes:
@@ -53,8 +56,7 @@ def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -
     """
     if len(nonce) != NONCE_SIZE:
         raise CryptoError(f"AEAD nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
-    otk = _poly1305_key(key, nonce)
-    ciphertext = chacha20_encrypt(key, 1, nonce, plaintext)
+    otk, ciphertext = _keyed_stream(key, nonce, plaintext)
     tag = _compute_tag(otk, aad, ciphertext)
     return ciphertext + tag
 
@@ -68,8 +70,8 @@ def aead_decrypt(key: bytes, nonce: bytes, sealed: bytes, aad: bytes = b"") -> b
     if len(sealed) < TAG_SIZE:
         raise AuthenticationError("ciphertext shorter than the Poly1305 tag")
     ciphertext, tag = sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]
-    otk = _poly1305_key(key, nonce)
+    otk, plaintext = _keyed_stream(key, nonce, ciphertext)
     expected = _compute_tag(otk, aad, ciphertext)
     if not constant_time_equal(tag, expected):
         raise AuthenticationError("AEAD tag mismatch: message corrupt or forged")
-    return chacha20_encrypt(key, 1, nonce, ciphertext)
+    return plaintext

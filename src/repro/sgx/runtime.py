@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import EnclaveError, EnclaveLostError
@@ -40,6 +41,10 @@ DEFAULT_CLOCK_HZ = 3.4e9  # i7-6700 boost clock
 # "uses multiple threads" (§4.1); 8 TCS matches the i7-6700's 8 hardware
 # threads and the worker count of the Figure 5 service model.
 DEFAULT_TCS_COUNT = 8
+
+# The security-test boundary log keeps only the newest crossings (with
+# their payloads), so a long-running server holds a bounded amount.
+BOUNDARY_LOG_CAPACITY = 1024
 
 
 def ecall(func):
@@ -412,7 +417,7 @@ class Enclave:
         self._instance = None
         self._initialized = False
         self._destroyed = False
-        self._boundary_log = []
+        self._boundary_log = deque(maxlen=BOUNDARY_LOG_CAPACITY)
         self._ecall_names = {
             name
             for name in dir(enclave_class)
@@ -549,7 +554,8 @@ class Enclave:
     # ------------------------------------------------------------------
     @property
     def boundary_log(self):
-        """All boundary crossings with the byte payloads that crossed."""
+        """The most recent :data:`BOUNDARY_LOG_CAPACITY` boundary crossings,
+        oldest first, with the byte payloads that crossed."""
         with self._concurrency_lock:
             return tuple(self._boundary_log)
 

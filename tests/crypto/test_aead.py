@@ -76,3 +76,15 @@ def test_truncated_ciphertext_rejected():
 def test_bad_nonce_length_rejected():
     with pytest.raises(CryptoError):
         aead_encrypt(KEY, b"\x00" * 8, PLAINTEXT)
+
+
+def test_bytes_like_records_accepted():
+    sealed = aead_encrypt(KEY, NONCE, bytearray(PLAINTEXT), AAD)
+    # Deliberate same-nonce second call: one plaintext in two buffer types.
+    assert sealed == aead_encrypt(KEY, NONCE, memoryview(PLAINTEXT), AAD)  # xlint: disable=dataflow
+    assert aead_decrypt(KEY, NONCE, memoryview(sealed), AAD) == PLAINTEXT
+
+
+def test_str_plaintext_rejected():
+    with pytest.raises(CryptoError):
+        aead_encrypt(KEY, NONCE, "a string")

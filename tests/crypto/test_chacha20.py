@@ -93,3 +93,42 @@ def test_counter_range_enforced():
 def test_rejects_non_bytes_plaintext():
     with pytest.raises(CryptoError):
         chacha20_encrypt(b"\x00" * 32, 0, b"\x00" * 12, "a string")
+
+
+# ---------------------------------------------------------------------------
+# Edge semantics pinned across the lane-parallel kernel.
+# ---------------------------------------------------------------------------
+
+LAST_COUNTER = (1 << 32) - 1
+
+
+def test_last_counter_serves_one_block():
+    key, nonce = b"\x03" * 32, b"\x04" * 12
+    assert len(chacha20_encrypt(key, LAST_COUNTER, nonce, bytes(BLOCK_SIZE))) == BLOCK_SIZE
+
+
+@pytest.mark.parametrize("counter, length", [
+    (LAST_COUNTER, BLOCK_SIZE + 1),          # the second block needs 2**32
+    (LAST_COUNTER - 2, 3 * BLOCK_SIZE + 1),  # runs out mid-message
+])
+def test_counter_exhaustion_raises(counter, length):
+    with pytest.raises(CryptoError):
+        chacha20_encrypt(b"\x03" * 32, counter, b"\x05" * 12, bytes(length))
+
+
+def test_bytes_like_inputs_accepted():
+    key, nonce = b"\x05" * 32, b"\x06" * 12
+    data = bytes(range(200))
+    expected = chacha20_encrypt(key, 3, nonce, data)
+    # Deliberate same-(counter, nonce) calls: one input in three buffer types.
+    assert chacha20_encrypt(key, 3, nonce, bytearray(data)) == expected  # xlint: disable=dataflow
+    assert chacha20_encrypt(key, 3, nonce, memoryview(data)) == expected  # xlint: disable=dataflow
+    assert (chacha20_encrypt(bytearray(key), 3, memoryview(nonce), data)  # xlint: disable=dataflow
+            == expected)
+
+
+def test_bad_key_or_nonce_rejected_even_for_empty_data():
+    with pytest.raises(CryptoError):
+        chacha20_encrypt(b"short", 0, b"\x00" * 12, b"")
+    with pytest.raises(CryptoError):
+        chacha20_encrypt(b"\x00" * 32, 0, b"\x00" * 8, b"")

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import EnclaveError
 from repro.sgx.epc import EnclavePageCache
 from repro.sgx.runtime import (
+    BOUNDARY_LOG_CAPACITY,
     CostModel,
     Enclave,
     EnclaveMemory,
@@ -138,6 +139,19 @@ def test_boundary_log_captures_bytes_nested_in_sequences():
     payloads = [r.payload for r in enclave.boundary_log
                 if r.name == "request_batch"]
     assert payloads == [b"rec-onerec-two"]
+
+
+def test_boundary_log_keeps_only_the_newest_crossings():
+    enclave = make_enclave()
+    total = BOUNDARY_LOG_CAPACITY + 37
+    for index in range(total):
+        enclave._on_boundary("ocall", "send", (b"%d" % index,))
+    log = enclave.boundary_log
+    assert isinstance(log, tuple)
+    assert len(log) == BOUNDARY_LOG_CAPACITY
+    assert [record.payload for record in log] == [
+        b"%d" % index for index in range(total - BOUNDARY_LOG_CAPACITY, total)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Benchmark smoke run: proxy micro-benchmarks, boundary-crossing
+# Benchmark smoke run: crypto and proxy micro-benchmarks, boundary-crossing
 # accounting, the Figure 5 throughput/latency sweep and the
 # availability-under-faults sweep.
 #
@@ -19,8 +19,8 @@ echo "== xlint preflight (boundary/determinism/taxonomy/locks/dataflow) =="
 python tools/xlint.py src/repro
 
 echo
-echo "== proxy micro-benchmarks =="
-python -m pytest benchmarks/test_micro_proxy.py \
+echo "== crypto and proxy micro-benchmarks =="
+python -m pytest benchmarks/test_micro_crypto.py benchmarks/test_micro_proxy.py \
     benchmarks/test_micro_boundary.py -q "$@"
 
 echo
