@@ -12,7 +12,7 @@ Run:  python examples/baseline_comparison.py
 import random
 
 from repro.baselines import DirectClient, PeasSystem, TorNetwork
-from repro.core import XSearchDeployment
+from repro.core import DeploymentConfig, XSearchDeployment
 from repro.datasets import generate_log
 from repro.search import CorpusConfig, SearchEngine, TrackingSearchEngine
 
@@ -79,9 +79,10 @@ def main():
 
     # ------------------------------------------------------------------
     header("X-Search (SGX enclave proxy)")
-    deployment = XSearchDeployment.create(k=3, seed=5, engine=engine)
+    deployment = XSearchDeployment.create(
+        config=DeploymentConfig(k=3, seed=5), engine=engine)
     deployment.warm_history(train_texts[:300])
-    deployment.client.search(QUERY, 10)
+    deployment.client.search(QUERY, limit=10)
     view = deployment.tracking.observations[-1]
     print("host sees    : only ciphertext records and an attested enclave")
     print(f"engine sees  : source={view.source}")

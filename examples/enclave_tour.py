@@ -8,7 +8,7 @@ proxy tries to get attested.
 Run:  python examples/enclave_tour.py
 """
 
-from repro.core import XSearchDeployment
+from repro.core import DeploymentConfig, XSearchDeployment
 from repro.core.protocol import SearchRequest
 from repro.sgx import (
     PAGE_SIZE,
@@ -20,7 +20,7 @@ from repro.errors import AttestationError, SealingError
 
 
 def main():
-    deployment = XSearchDeployment.create(k=2, seed=3)
+    deployment = XSearchDeployment.create(config=DeploymentConfig(k=2, seed=3))
     proxy = deployment.proxy
     enclave = proxy.enclave
 
@@ -45,7 +45,7 @@ def main():
         print(f"   rejected as expected: {exc}")
 
     print("\n3. Boundary crossings are metered (the §5.3.3 bottleneck)")
-    deployment.client.search("cheap hotel rome", 5)
+    deployment.client.search("cheap hotel rome", limit=5)
     counter = enclave.counter
     print(f"   ecalls: {counter.ecalls}   ocalls: {counter.ocalls}   "
           f"transition cycles: {counter.cycles:,} "

@@ -8,13 +8,13 @@ the *user* received and what the *search engine* was able to observe.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import XSearchDeployment
+from repro.core import DeploymentConfig, XSearchDeployment
 
 
 def main():
     # One call wires client <-> broker <-> enclave proxy <-> search engine,
     # performs remote attestation and establishes the encrypted tunnel.
-    deployment = XSearchDeployment.create(k=3, seed=7)
+    deployment = XSearchDeployment.create(config=DeploymentConfig(k=3, seed=7))
 
     # Model other users' traffic so the proxy has real past queries to use
     # as fakes (a production proxy accumulates these naturally).

@@ -74,7 +74,7 @@ def main():
     proxy = build_proxy(engine, **common)
     broker = attested_broker(proxy, attestation_service, "gen-1")
     broker.ingest([f"organic traffic {i} hotel rome" for i in range(50)])
-    results = broker.search("cheap hotel rome", 10)
+    results = broker.search("cheap hotel rome", limit=10)
     print(f"\nGeneration 1: {len(results)} results over HTTPS; "
           f"history holds {len(proxy.enclave._instance._history)} queries")
 
@@ -86,7 +86,7 @@ def main():
     restored = proxy2.restore_history(blob)
     print(f"\nGeneration 2 (after restart): restored {restored} queries")
     broker2 = attested_broker(proxy2, attestation_service, "gen-2")
-    broker2.search("diabetes symptoms", 10)
+    broker2.search("diabetes symptoms", limit=10)
     observed = proxy2.gateway._engine.observations[-1]
     print("First post-restart query already fully obfuscated:")
     print(f"  engine saw: {observed.text}")

@@ -19,9 +19,9 @@ Web Search using Intel SGX* (Ben Mokhtar et al., Middleware 2017):
 
 Quickstart::
 
-    from repro.core import XSearchDeployment
+    from repro.core import DeploymentConfig, XSearchDeployment
 
-    deployment = XSearchDeployment.create(k=3, seed=7)
+    deployment = XSearchDeployment.create(config=DeploymentConfig(k=3, seed=7))
     results = deployment.client.search("hotel rome cheap flights")
 """
 

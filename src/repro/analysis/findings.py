@@ -4,8 +4,8 @@ A :class:`Finding` is one violation at one source location: which
 checker produced it, a stable per-rule code (``XB001`` …), the file and
 line, a human message and a fix hint.  The JSON form (``to_dict`` /
 ``from_dict``) is the machine-readable output contract of
-``tools/xlint.py`` — CI parses it, and ``tools/check_api.py`` guards its
-field set so downstream tooling can rely on it.
+``tools/xlint.py`` — CI parses it, and ``tests/public_surface.json`` pins
+its field set so downstream tooling can rely on it.
 
 Baselines: a committed baseline file lists the *fingerprints* of
 grandfathered findings.  Fingerprints deliberately exclude the line

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 
 
 def main(argv=None) -> int:
@@ -31,7 +31,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     query = " ".join(args.query)
 
-    deployment = XSearchDeployment.create(k=args.k, seed=args.seed)
+    deployment = XSearchDeployment.create(
+        config=DeploymentConfig(k=args.k, seed=args.seed))
     deployment.warm_history(
         [f"ambient traffic {i} term{i % 31}" for i in range(50)]
     )

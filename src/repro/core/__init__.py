@@ -30,11 +30,7 @@ from repro.core.cluster import (
     SessionRouter,
     XSearchCluster,
 )
-from repro.core.deployment import (
-    CONFIG_VERSION,
-    DeploymentConfig,
-    XSearchDeployment,
-)
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.core.filtering import ScoredResult, filter_results, score_result
 from repro.core.gateway import EngineGateway
 from repro.core.history import QueryHistory
@@ -90,7 +86,6 @@ __all__ = [
     "XSearchClient",
     "XSearchDeployment",
     "DeploymentConfig",
-    "CONFIG_VERSION",
     "XSearchCluster",
     "SessionRouter",
     "ReplicaHandle",

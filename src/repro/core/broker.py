@@ -27,7 +27,6 @@ way.
 from __future__ import annotations
 
 import secrets
-import warnings
 
 from repro.core.protocol import Ack, IngestRequest, SearchRequest, SearchResponse
 from repro.core.proxy import XSearchProxyHost
@@ -50,23 +49,6 @@ from repro.sgx.attestation import RemoteVerifier, report_data_for_key
 from repro.sgx.measurement import Measurement
 
 DEFAULT_LIMIT = 20
-
-
-def _limit_from_args(args, limit, method):
-    """Support the deprecated positional ``limit`` argument."""
-    if not args:
-        return limit
-    if len(args) > 1:
-        raise TypeError(
-            f"{method}() takes at most one positional option (limit)"
-        )
-    warnings.warn(
-        f"passing limit positionally to {method}() is deprecated; "
-        f"use {method}(..., limit=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return args[0]
 
 
 class Broker:
@@ -238,7 +220,7 @@ class Broker:
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
-    def search(self, query: str, *args, limit: int = DEFAULT_LIMIT,
+    def search(self, query: str, *, limit: int = DEFAULT_LIMIT,
                timeout: float = None,
                retry_policy: RetryPolicy = None) -> list:
         """Privately execute one web search; returns filtered results.
@@ -250,7 +232,6 @@ class Broker:
         (engine down, last-known results) is exposed as
         :attr:`last_degraded`.
         """
-        limit = _limit_from_args(args, limit, "search")
         policy = retry_policy if retry_policy is not None else self._retry_policy
         with span(self._recorder, "broker.search",
                   placement=PLACEMENT_CLIENT, limit=limit,
@@ -270,7 +251,7 @@ class Broker:
             )
             return list(decoded.results)
 
-    def search_batch(self, queries, *args, limit: int = DEFAULT_LIMIT,
+    def search_batch(self, queries, *, limit: int = DEFAULT_LIMIT,
                      timeout: float = None,
                      retry_policy: RetryPolicy = None) -> list:
         """Execute several searches in one batched proxy round trip.
@@ -282,7 +263,6 @@ class Broker:
         list per query, in order.  An empty batch returns ``[]`` without
         touching the proxy at all.
         """
-        limit = _limit_from_args(args, limit, "search_batch")
         queries = list(queries)
         if not queries:
             return []

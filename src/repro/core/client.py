@@ -8,7 +8,7 @@ forwards queries to the local broker and renders results.
 
 from __future__ import annotations
 
-from repro.core.broker import DEFAULT_LIMIT, Broker, _limit_from_args
+from repro.core.broker import DEFAULT_LIMIT, Broker
 from repro.core.retry import RetryPolicy
 from repro.errors import ProtocolError
 
@@ -19,8 +19,7 @@ class XSearchClient:
     ``search`` and ``search_batch`` share the broker's uniform call
     surface: keyword-only ``limit``, ``timeout`` (total, including
     retries) and ``retry_policy`` (overrides the broker's enclave-loss
-    recovery policy for one call).  The positional ``limit`` of the old
-    API still works behind a :class:`DeprecationWarning`.
+    recovery policy for one call).
     """
 
     def __init__(self, broker: Broker, *, user_id: str = "local-user"):
@@ -33,11 +32,10 @@ class XSearchClient:
         """Whether the most recent response was served in degraded mode."""
         return self._broker.last_degraded
 
-    def search(self, query: str, *args, limit: int = DEFAULT_LIMIT,
+    def search(self, query: str, *, limit: int = DEFAULT_LIMIT,
                timeout: float = None,
                retry_policy: RetryPolicy = None) -> list:
         """Execute a private web search through the local broker."""
-        limit = _limit_from_args(args, limit, "search")
         if not query or not query.strip():
             raise ProtocolError("cannot search an empty query")
         if not self._broker.is_connected:
@@ -48,7 +46,7 @@ class XSearchClient:
             retry_policy=retry_policy,
         )
 
-    def search_batch(self, queries, *args, limit: int = DEFAULT_LIMIT,
+    def search_batch(self, queries, *, limit: int = DEFAULT_LIMIT,
                      timeout: float = None,
                      retry_policy: RetryPolicy = None) -> list:
         """Execute several private searches in one proxy round trip.
@@ -56,7 +54,6 @@ class XSearchClient:
         An empty batch is a no-op: it returns ``[]`` without connecting,
         encrypting or paying an enclave transition.
         """
-        limit = _limit_from_args(args, limit, "search_batch")
         queries = [query.strip() for query in queries]
         if not queries:
             return []

@@ -17,16 +17,12 @@ exit tears the proxy (or the whole cluster) down cleanly, and
 client with its own broker session.
 
 Configuration is a value, not a pile of keywords: build a frozen
-:class:`DeploymentConfig` and pass ``create(config=...)``.  The classic
-keyword spellings (``k=``, ``seed=``, ``max_workers=``, proxy
-passthroughs, …) keep working but emit :class:`DeprecationWarning` and
-fold into a config, so both paths build byte-identical systems.
+:class:`DeploymentConfig` and pass ``create(config=...)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.broker import Broker
@@ -58,12 +54,6 @@ from repro.sgx.sealing import SealingPlatform
 # full-strength setup).
 DEFAULT_ATTESTATION_KEY_BITS = 1024
 
-#: Version stamp of the :class:`DeploymentConfig` schema.
-CONFIG_VERSION = 1
-
-#: Sentinel distinguishing "not passed" from an explicit ``None``.
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class DeploymentConfig:
@@ -79,7 +69,6 @@ class DeploymentConfig:
     connections per worker) when ``max_workers`` is set.
     """
 
-    version: int = CONFIG_VERSION
     k: int = DEFAULT_K
     history_capacity: int = DEFAULT_HISTORY_CAPACITY
     seed: int = 0
@@ -97,11 +86,6 @@ class DeploymentConfig:
     proxy_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.version != CONFIG_VERSION:
-            raise ValueError(
-                f"unsupported DeploymentConfig version {self.version!r} "
-                f"(this build speaks version {CONFIG_VERSION})"
-            )
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.history_capacity < 1:
@@ -136,9 +120,9 @@ class _ClientFacade:
     """What ``deployment.client`` returns: the default client, callable.
 
     Attribute access (``deployment.client.search(...)``) goes to the
-    deployment's default client, so every pre-existing call site keeps
-    working; *calling* it (``deployment.client(user_id="bob")``) mints a
-    new attested client with its own broker session.  Minted clients go
+    deployment's default client; *calling* it
+    (``deployment.client(user_id="bob")``) mints a new attested client
+    with its own broker session.  Minted clients go
     through ``deployment.frontend`` — the same scheduler (or cluster
     router) the default client uses — never straight at a proxy.
     """
@@ -193,31 +177,19 @@ class XSearchDeployment:
     proxy: XSearchProxyHost
     broker: Broker
     default_client: XSearchClient
+    cluster: XSearchCluster
     recorder: object = None
     registry: object = None
     scheduler: RequestScheduler = None
-    cluster: XSearchCluster = None
     config: DeploymentConfig = None
-
-    #: The keyword spellings predating :class:`DeploymentConfig`; all
-    #: still accepted by :meth:`create`, with a DeprecationWarning.
-    _LEGACY_CREATE_KWARGS = (
-        "k", "history_capacity", "seed", "key_bits", "connect",
-        "max_workers", "coalesce_window", "max_batch", "retry_policy",
-        "fanout", "replicas",
-    )
 
     @classmethod
     def create(cls, *, config: DeploymentConfig = None,
                engine: SearchEngine = None,
-               recorder=None, registry=None, attestation=None,
-               k=_UNSET, history_capacity=_UNSET, seed=_UNSET,
-               key_bits=_UNSET, connect=_UNSET,
-               max_workers=_UNSET, coalesce_window=_UNSET,
-               max_batch=_UNSET, retry_policy=_UNSET, fanout=_UNSET,
-               replicas=_UNSET,
-               **proxy_options) -> "XSearchDeployment":
-        """Stand up a complete deployment from a :class:`DeploymentConfig`.
+               recorder=None, registry=None,
+               attestation=None) -> "XSearchDeployment":
+        """Stand up a complete deployment from a :class:`DeploymentConfig`
+        (the default config when none is given).
 
         ``engine``, ``recorder``, ``registry`` and ``attestation`` stay
         call arguments — they are live objects, not configuration data.
@@ -237,48 +209,9 @@ class XSearchDeployment:
         is its session router, and ``deployment.proxy`` /
         ``deployment.scheduler`` keep pointing at replica 0 so existing
         single-node tooling still works.
-
-        Every pre-config keyword (``k=``, ``seed=``, ``max_workers=``,
-        proxy passthroughs such as ``fault_plan=`` or ``epc=``, …) still
-        resolves: it emits a :class:`DeprecationWarning` and folds into
-        the config, overriding the corresponding field.
         """
-        overrides = {}
-        for name, value in (
-            ("k", k), ("history_capacity", history_capacity),
-            ("seed", seed), ("key_bits", key_bits),
-            ("connect", connect), ("max_workers", max_workers),
-            ("coalesce_window", coalesce_window),
-            ("max_batch", max_batch), ("retry_policy", retry_policy),
-            ("fanout", fanout), ("replicas", replicas),
-        ):
-            if value is not _UNSET:
-                overrides[name] = value
         if config is None:
             config = DeploymentConfig()
-        folded = sorted(overrides) + sorted(proxy_options)
-        if folded:
-            warnings.warn(
-                "passing " + ", ".join(folded) + " directly to "
-                "XSearchDeployment.create() is deprecated; build a "
-                "DeploymentConfig(...) and pass create(config=...) "
-                "(proxy passthroughs go in DeploymentConfig.proxy_options)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if proxy_options:
-                merged = dict(config.proxy_options)
-                merged.update(proxy_options)
-                overrides["proxy_options"] = merged
-            config = config.replace(**overrides)
-        return cls._build(config, engine=engine,
-                          recorder=recorder, registry=registry,
-                          attestation=attestation)
-
-    @classmethod
-    def _build(cls, config: DeploymentConfig, *, engine,
-               recorder, registry,
-               attestation=None) -> "XSearchDeployment":
         if recorder is None and registry is None:
             from repro import obs
 
@@ -393,7 +326,7 @@ class XSearchDeployment:
         concurrent mode is on (``max_workers=``), otherwise the proxy
         itself — so a single-replica deployment is byte-identical to
         previous releases."""
-        if self.cluster is not None and self.cluster.size > 1:
+        if self.cluster.size > 1:
             return self.cluster.router
         return self.scheduler if self.scheduler is not None else self.proxy
 
@@ -415,12 +348,7 @@ class XSearchDeployment:
         """Tear the deployment down: stop every scheduler (draining its
         queue), checkpoint (when sealing is on), drain the engine
         connection pools and destroy the enclaves.  Idempotent."""
-        if self.cluster is not None:
-            self.cluster.close()
-            return
-        if self.scheduler is not None:
-            self.scheduler.close()
-        self.proxy.close()
+        self.cluster.close()
 
     def __enter__(self) -> "XSearchDeployment":
         return self
@@ -429,32 +357,8 @@ class XSearchDeployment:
         self.close()
 
     # ------------------------------------------------------------------
-    # Extra sessions and history warm-up
+    # History warm-up
     # ------------------------------------------------------------------
-    def new_broker(self, session_id: str = None) -> Broker:
-        """Deprecated: use ``deployment.client(user_id=...)`` instead.
-
-        Kept for compatibility; returns an additional attested broker
-        session against the same frontend.
-        """
-        warnings.warn(
-            "XSearchDeployment.new_broker() is deprecated; use "
-            "deployment.client(user_id=...) to mint an additional "
-            "attested client (its broker is reachable as client._broker)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        broker = Broker(
-            self.frontend,
-            service_public_key=self.attestation_service.public_key,
-            expected_measurement=self.proxy.measurement,
-            session_id=session_id,
-            recorder=self.recorder,
-            registry=self.registry,
-        )
-        broker.connect()
-        return broker
-
     def warm_history(self, queries) -> int:
         """Model other users' past traffic filling the history table."""
         return self.broker.ingest(queries)

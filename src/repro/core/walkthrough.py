@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.errors import ExperimentError
 
 
@@ -43,7 +43,8 @@ def run_walkthrough(deployment: XSearchDeployment = None, *,
                     k: int = 3, seed: int = 13) -> Walkthrough:
     """Execute Figure 2's flow once and account for every step."""
     if deployment is None:
-        deployment = XSearchDeployment.create(k=k, seed=seed)
+        deployment = XSearchDeployment.create(
+            config=DeploymentConfig(k=k, seed=seed))
         deployment.warm_history(
             [f"ambient user traffic {i} term{i % 23}" for i in range(40)]
         )

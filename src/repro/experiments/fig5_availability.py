@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.errors import ReproError
 from repro.faults import ENGINE_SITES, KIND_CRASH, KIND_REFUSE, SITE_ECALL, FaultPlan
 from repro.sgx.sealing import SealingPlatform
@@ -116,12 +116,14 @@ def run(*, seed: int = 0,
     connection for requests in ``[start, stop)``.
     """
     plan = FaultPlan(seed=seed)
-    deployment = XSearchDeployment.create(
+    deployment = XSearchDeployment.create(config=DeploymentConfig(
         seed=seed,
-        fault_plan=plan,
-        sealing_platform=SealingPlatform(),
-        checkpoint_interval=checkpoint_interval,
-    )
+        proxy_options={
+            "fault_plan": plan,
+            "sealing_platform": SealingPlatform(),
+            "checkpoint_interval": checkpoint_interval,
+        },
+    ))
     proxy = deployment.proxy
     original_measurement = proxy.measurement
 

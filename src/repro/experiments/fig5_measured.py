@@ -39,7 +39,7 @@ import random
 import threading
 from dataclasses import dataclass
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.core.scheduler import (
     DEFAULT_COALESCE_WINDOW,
     DEFAULT_MAX_BATCH,
@@ -243,7 +243,7 @@ def run_virtual(*, max_workers: int = 4, rates=(50, 100, 200, 400, 800),
         fanout = 2 * max_workers   # the deployment's concurrent default
     recorder = TraceRecorder()
     points = []
-    with XSearchDeployment.create(seed=seed, k=k,
+    with XSearchDeployment.create(config=DeploymentConfig(seed=seed, k=k),
                                   recorder=recorder) as deployment:
         enclave = deployment.proxy.enclave
         for rate in rates:
@@ -357,11 +357,14 @@ def run_wallclock(*, max_workers: int = 4,
     )
     points = []
     registry = MetricsRegistry()
-    with XSearchDeployment.create(
-        seed=seed, k=k, engine=engine,
+    config = DeploymentConfig(
+        seed=seed, k=k,
         max_workers=max_workers,
         coalesce_window=coalesce_window,
         max_batch=max_batch,
+    )
+    with XSearchDeployment.create(
+        config=config, engine=engine,
         recorder=NullRecorder(), registry=registry,
     ) as deployment:
         enclave = deployment.proxy.enclave

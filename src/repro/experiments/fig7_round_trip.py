@@ -78,15 +78,15 @@ def run_system_mode(*, n_queries: int = 50, k: int = DEFAULT_K,
     import random as _random
 
     from repro.baselines.tor import TorNetwork
-    from repro.core.deployment import XSearchDeployment
+    from repro.core.deployment import DeploymentConfig, XSearchDeployment
     from repro.experiments.service_models import _XSEARCH_COMPUTE_SECONDS
     from repro.search.tracking import TrackingSearchEngine
 
     model = model if model is not None else LatencyModel()
     rng = _random.Random(seed ^ 0xF175)
 
-    deployment = XSearchDeployment.create(k=k, seed=seed,
-                                          history_capacity=10_000)
+    deployment = XSearchDeployment.create(config=DeploymentConfig(
+        k=k, seed=seed, history_capacity=10_000))
     deployment.warm_history(
         [f"system warm {i} term{i % 41}" for i in range(200)]
     )
@@ -112,7 +112,7 @@ def run_system_mode(*, n_queries: int = 50, k: int = DEFAULT_K,
         # X-Search: full functional round; the proxy's in-enclave time is
         # its metered transitions plus the calibrated native compute.
         transitions_before = enclave.transition_seconds()
-        deployment.client.search(query, 20)
+        deployment.client.search(query, limit=20)
         proxy_seconds = (
             enclave.transition_seconds() - transitions_before
             + _XSEARCH_COMPUTE_SECONDS

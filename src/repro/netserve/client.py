@@ -36,7 +36,7 @@ from __future__ import annotations
 import socket
 import threading
 
-from repro.core.broker import Broker
+from repro.core.broker import DEFAULT_LIMIT, Broker
 from repro.core.client import XSearchClient
 from repro.core.retry import RetryPolicy
 from repro.errors import (
@@ -399,11 +399,18 @@ class RemoteClient:
         the wire (the wire's ``REPLY_DEGRADED`` is a drain signal)."""
         return self._client.last_degraded
 
-    def search(self, query: str, *args, **kwargs) -> list:
-        return self._client.search(query, *args, **kwargs)
+    def search(self, query: str, *, limit: int = DEFAULT_LIMIT,
+               timeout: float = None,
+               retry_policy: RetryPolicy = None) -> list:
+        return self._client.search(query, limit=limit, timeout=timeout,
+                                   retry_policy=retry_policy)
 
-    def search_batch(self, queries, *args, **kwargs) -> list:
-        return self._client.search_batch(queries, *args, **kwargs)
+    def search_batch(self, queries, *, limit: int = DEFAULT_LIMIT,
+                     timeout: float = None,
+                     retry_policy: RetryPolicy = None) -> list:
+        return self._client.search_batch(queries, limit=limit,
+                                         timeout=timeout,
+                                         retry_policy=retry_policy)
 
     def ping(self, payload: bytes = b"") -> bytes:
         return self._transport.ping(payload)

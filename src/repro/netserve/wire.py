@@ -65,8 +65,8 @@ WIRE_VERSION = 1
 _HEADER = struct.Struct(">4sBBBI")
 HEADER_BYTES = _HEADER.size  # 11
 
-# Frame types.  The ids are a public contract (tools/check_api.py pins
-# them): renumbering breaks deployed peers, so new frames only append.
+# Frame types.  The ids are a public contract (tests/public_surface.json
+# pins them): renumbering breaks deployed peers, so new frames only append.
 T_HELLO = 1
 T_WELCOME = 2
 T_ATTEST = 3

@@ -17,8 +17,8 @@ instead of ad-hoc counters:
 Everything is zero-overhead by default: with no recorder installed the
 instrumented layers pay one identity check per site, and the
 boundary-crossing counts guarded by ``benchmarks/test_micro_boundary.py``
-are bit-for-bit those of an uninstrumented build (``tools/check_api.py``
-enforces this).
+are bit-for-bit those of an uninstrumented build
+(``tests/obs/test_noop_overhead.py`` enforces this).
 
 ``install()`` / ``installed()`` manage the process-default recorder and
 registry: :meth:`repro.core.deployment.XSearchDeployment.create` picks

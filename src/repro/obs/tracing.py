@@ -229,9 +229,9 @@ class NullRecorder:
     """A recorder-shaped no-op: the explicit 'tracing disabled' object.
 
     Behaviourally identical to passing ``recorder=None`` everywhere —
-    ``tools/check_api.py`` guards that the boundary-crossing deltas of a
-    workload are bit-for-bit the same under ``None``, ``NullRecorder``
-    and a live :class:`TraceRecorder`.
+    ``tests/obs/test_noop_overhead.py`` guards that the boundary-crossing
+    deltas of a workload are bit-for-bit the same under ``None``,
+    ``NullRecorder`` and a live :class:`TraceRecorder`.
     """
 
     enabled = False

@@ -191,7 +191,7 @@ class SimWorld:
     @property
     def router(self):
         """The session router, or None for single-replica worlds."""
-        if self.cluster is not None and self.cluster.size > 1:
+        if self.cluster.size > 1:
             return self.cluster.router
         return None
 
@@ -462,13 +462,12 @@ def run_sim(spec: WorldSpec, *, attestation=None, engine=None,
     # replica with a still-pending injected crash fails its audit ecall;
     # that is the fault plan speaking, not an integrity signal, so it is
     # skipped rather than reported.
-    if world.cluster is not None:
-        for handle in world.cluster.healthy_replicas():
-            try:
-                world.integrity[handle.replica_id] = (
-                    handle.proxy.history_integrity())
-            except ReproError:
-                pass
+    for handle in world.cluster.healthy_replicas():
+        try:
+            world.integrity[handle.replica_id] = (
+                handle.proxy.history_integrity())
+        except ReproError:
+            pass
     deployment.close()
 
     trace.record_schedule(sim.schedule)

@@ -3,21 +3,21 @@
 One facade: ``with XSearchDeployment.create(...) as deployment`` gives a
 context-managed system whose ``client`` attribute is both the default
 client and a factory for more (``deployment.client(user_id=...)``).
-The pre-redesign spellings keep working behind DeprecationWarnings.
 """
-
-import warnings
 
 import pytest
 
+from repro.core.broker import Broker
 from repro.core.client import XSearchClient
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.core.retry import RetryPolicy
+from repro.netserve.client import RemoteClient
 
 
 @pytest.fixture()
 def deployment():
-    with XSearchDeployment.create(seed=21, k=2) as deployment:
+    with XSearchDeployment.create(
+            config=DeploymentConfig(seed=21, k=2)) as deployment:
         yield deployment
 
 
@@ -25,7 +25,8 @@ def deployment():
 # Context management and teardown
 # ----------------------------------------------------------------------
 def test_context_manager_closes_the_proxy():
-    with XSearchDeployment.create(seed=21) as deployment:
+    with XSearchDeployment.create(
+            config=DeploymentConfig(seed=21)) as deployment:
         deployment.client.search("inside the block", limit=5)
     from repro.errors import EnclaveError
 
@@ -34,7 +35,7 @@ def test_context_manager_closes_the_proxy():
 
 
 def test_close_drains_the_connection_pool():
-    deployment = XSearchDeployment.create(seed=21)
+    deployment = XSearchDeployment.create(config=DeploymentConfig(seed=21))
     deployment.client.search("warm the pool", limit=5)
     stats = deployment.proxy.perf_stats()
     assert stats["pool_connects"] >= 1
@@ -95,41 +96,13 @@ def test_search_accepts_timeout_and_retry_policy(deployment):
     assert len(batches) == 2
 
 
-def test_limit_is_keyword_only_going_forward(deployment):
+@pytest.mark.parametrize("method", ["search", "search_batch"])
+@pytest.mark.parametrize("cls", [XSearchClient, Broker, RemoteClient],
+                         ids=lambda cls: cls.__name__)
+def test_limit_is_keyword_only_going_forward(cls, method):
+    # Arguments bind before the body runs, so no live instance is needed.
     with pytest.raises(TypeError):
-        deployment.client.search("too many", 5, 7)
-
-
-# ----------------------------------------------------------------------
-# Deprecated spellings still work — loudly
-# ----------------------------------------------------------------------
-def test_positional_limit_warns_but_works(deployment):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results = deployment.client.search("legacy positional", 5)
-    assert len(results) <= 5
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        deployment.client.search_batch(["legacy batch"], 5)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-
-def test_broker_positional_limit_warns_but_works(deployment):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results = deployment.broker.search("legacy broker call", 5)
-    assert isinstance(results, list)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-
-def test_new_broker_is_deprecated_but_functional(deployment):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        tenant = deployment.new_broker("facade-tenant")
-    assert tenant.is_connected
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
+        getattr(cls, method)(None, "query", 5)
 
 
 # ----------------------------------------------------------------------

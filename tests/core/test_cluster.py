@@ -23,10 +23,6 @@ from repro.errors import EnclaveError, ReproError
 from repro.faults import KIND_CRASH, SITE_ECALL, FaultPlan
 from repro.obs import TraceChecker, TraceRecorder
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::DeprecationWarning"
-)
-
 
 def _ids_on(replica_id: str, count: int, members, *, vnodes=64,
             prefix="sess") -> list:

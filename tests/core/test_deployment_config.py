@@ -1,8 +1,5 @@
-"""The DeploymentConfig facade and the deprecated-kwarg shims.
-
-The redesign's compatibility promise: ``create(config=...)`` is the one
-true spelling, every classic keyword still works (warning once, folding
-into the config), and both paths build byte-identical systems.
+"""The DeploymentConfig facade: ``create(config=...)`` is the one
+spelling of a deployment's settings.
 """
 
 from __future__ import annotations
@@ -12,11 +9,7 @@ import warnings
 
 import pytest
 
-from repro.core import (
-    CONFIG_VERSION,
-    DeploymentConfig,
-    XSearchDeployment,
-)
+from repro.core import DeploymentConfig, XSearchDeployment
 from repro.faults import FaultPlan
 
 
@@ -42,8 +35,6 @@ def test_config_validates_its_fields():
         DeploymentConfig(vnodes=0)
     with pytest.raises(ValueError):
         DeploymentConfig(failover_threshold=0)
-    with pytest.raises(ValueError):
-        DeploymentConfig(version=CONFIG_VERSION + 1)
 
 
 def test_config_owns_copies_of_its_dicts():
@@ -66,25 +57,8 @@ def test_concurrent_property_tracks_max_workers():
 
 
 # ----------------------------------------------------------------------
-# The two create() paths
+# create(config=...)
 # ----------------------------------------------------------------------
-def test_legacy_kwargs_warn_once_and_fold_into_the_config():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with XSearchDeployment.create(seed=11, k=3, history_capacity=64,
-                                      connect=False) as deployment:
-            config = deployment.config
-            assert (config.seed, config.k, config.history_capacity) \
-                == (11, 3, 64)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "DeploymentConfig" in str(w.message)]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    for name in ("k", "seed", "history_capacity"):
-        assert name in message
-
-
 def test_config_path_does_not_warn():
     config = DeploymentConfig(seed=11, k=3, connect=False)
     with warnings.catch_warnings(record=True) as caught:
@@ -95,54 +69,15 @@ def test_config_path_does_not_warn():
                 if issubclass(w.category, DeprecationWarning)]
 
 
-def test_both_paths_build_equivalent_deployments():
-    def observe(deployment):
-        results = deployment.client.search("museum train", limit=3)
-        return (
-            deployment.config.replace(connect=True),
-            [r.doc_id for r in results]
-            if results and hasattr(results[0], "doc_id")
-            else [str(r) for r in results],
-        )
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with XSearchDeployment.create(seed=11, k=2) as deployment:
-            legacy = observe(deployment)
-    with XSearchDeployment.create(
-            config=DeploymentConfig(seed=11, k=2)) as deployment:
-        configured = observe(deployment)
-    assert legacy == configured
-
-
-def test_proxy_passthroughs_still_work_both_ways():
+def test_proxy_passthroughs_ride_in_proxy_options():
     plan = FaultPlan(seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with XSearchDeployment.create(seed=11, k=2, fault_plan=plan,
-                                      checkpoint_interval=5,
-                                      connect=False) as deployment:
-            assert deployment.config.proxy_options["fault_plan"] is plan
-            assert deployment.config.proxy_options[
-                "checkpoint_interval"] == 5
     config = DeploymentConfig(
         seed=11, k=2, connect=False,
-        proxy_options={"fault_plan": FaultPlan(seed=0),
-                       "checkpoint_interval": 5},
+        proxy_options={"fault_plan": plan, "checkpoint_interval": 5},
     )
     with XSearchDeployment.create(config=config) as deployment:
-        assert deployment.proxy is not None
-
-
-def test_mixing_config_and_overrides_folds_with_a_warning():
-    base = DeploymentConfig(seed=11, k=2, connect=False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with XSearchDeployment.create(config=base, k=4) as deployment:
-            assert deployment.config.k == 4
-            assert deployment.config.seed == 11
-    assert any(issubclass(w.category, DeprecationWarning)
-               for w in caught)
+        assert deployment.proxy._fault_plan is plan
+        assert deployment.proxy._checkpoint_interval == 5
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +86,6 @@ def test_mixing_config_and_overrides_folds_with_a_warning():
 def test_single_replica_deployment_keeps_the_classic_frontend():
     config = DeploymentConfig(seed=11, k=2, connect=False)
     with XSearchDeployment.create(config=config) as deployment:
-        assert deployment.cluster is not None
         assert deployment.cluster.size == 1
         # replicas=1 must stay byte-identical to previous releases: the
         # frontend is the proxy itself, not the router.

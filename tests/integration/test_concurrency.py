@@ -51,7 +51,7 @@ def test_concurrent_sessions(stack):
             broker.connect()
             collected = []
             for i in range(QUERIES_PER_CLIENT):
-                results = broker.search(f"hotel rome probe {index} {i}", 5)
+                results = broker.search(f"hotel rome probe {index} {i}", limit=5)
                 collected.append(results)
             results_by_client[index] = collected
         except Exception as exc:  # pragma: no cover - must not happen
@@ -96,9 +96,9 @@ def test_concurrent_sessions_see_each_others_fakes(stack):
             session_id=f"m-{index}",
         )
         broker.connect()
-        broker.search(f"sharedmarker{index}zz", 5)
+        broker.search(f"sharedmarker{index}zz", limit=5)
         for i in range(10):
-            broker.search(f"followup {index} {i}", 5)
+            broker.search(f"followup {index} {i}", limit=5)
 
     threads = [
         threading.Thread(target=client_worker, args=(i,))

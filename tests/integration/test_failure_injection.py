@@ -88,7 +88,7 @@ def test_host_tampering_with_response_detected(stack):
     proxy.request = corrupting_request
     try:
         with pytest.raises(AuthenticationError):
-            broker.search("hotel rome", 5)
+            broker.search("hotel rome", limit=5)
     finally:
         proxy.request = original_request
 

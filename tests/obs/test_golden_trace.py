@@ -23,7 +23,7 @@ import os
 
 import pytest
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.faults import FaultPlan, KIND_CRASH, SITE_ECALL
 from repro.net.clock import VirtualClock
 from repro.obs import TraceChecker, TraceRecorder
@@ -40,7 +40,8 @@ def normalized_traces(recorder):
 def run_e2e_scenario():
     clock = VirtualClock()
     recorder = TraceRecorder(clock=clock)
-    with XSearchDeployment.create(seed=11, k=2, recorder=recorder) as dep:
+    with XSearchDeployment.create(config=DeploymentConfig(seed=11, k=2),
+                                  recorder=recorder) as dep:
         results = dep.client.search("hotel rome", limit=5)
         assert results
     TraceChecker(queries=("hotel rome",)).assert_ok(
@@ -49,14 +50,18 @@ def run_e2e_scenario():
     return normalized_traces(recorder)
 
 
+def faulted_config(plan):
+    return DeploymentConfig(seed=11, k=2, proxy_options={
+        "fault_plan": plan, "sealing_platform": SealingPlatform(),
+        "checkpoint_interval": 1})
+
+
 def run_faulted_scenario():
     clock = VirtualClock()
     recorder = TraceRecorder(clock=clock)
     plan = FaultPlan(seed=0)
-    with XSearchDeployment.create(
-        seed=11, k=2, recorder=recorder, fault_plan=plan,
-        sealing_platform=SealingPlatform(), checkpoint_interval=1,
-    ) as dep:
+    with XSearchDeployment.create(config=faulted_config(plan),
+                                  recorder=recorder) as dep:
         dep.client.search("hotel rome", limit=5)  # checkpointed after
         plan.trigger(SITE_ECALL, KIND_CRASH)
         results = dep.client.search("diabetes treatment", limit=5)
@@ -111,10 +116,8 @@ def test_faulted_scenario_records_the_recovery_story():
     clock = VirtualClock()
     recorder = TraceRecorder(clock=clock)
     plan = FaultPlan(seed=0)
-    with XSearchDeployment.create(
-        seed=11, k=2, recorder=recorder, fault_plan=plan,
-        sealing_platform=SealingPlatform(), checkpoint_interval=1,
-    ) as dep:
+    with XSearchDeployment.create(config=faulted_config(plan),
+                                  recorder=recorder) as dep:
         dep.client.search("hotel rome", limit=5)
         plan.trigger(SITE_ECALL, KIND_CRASH)
         dep.client.search("diabetes treatment", limit=5)

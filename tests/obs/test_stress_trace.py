@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.core.deployment import XSearchDeployment
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.errors import (
     EngineUnavailableError,
     ReproError,
@@ -67,6 +67,12 @@ def stress_plan(seed: int) -> FaultPlan:
     return plan
 
 
+def stress_config(seed: int, plan: FaultPlan) -> DeploymentConfig:
+    return DeploymentConfig(seed=seed, k=2, proxy_options={
+        "fault_plan": plan, "sealing_platform": SealingPlatform(),
+        "checkpoint_interval": 8})
+
+
 @pytest.mark.parametrize("seed", [1, 20_17])
 def test_stress_every_request_has_exactly_one_outcome(seed):
     rng = random.Random(seed)
@@ -77,9 +83,8 @@ def test_stress_every_request_has_exactly_one_outcome(seed):
     outcomes = {OUTCOME_REPLY: 0, OUTCOME_DEGRADED: 0, OUTCOME_ERROR: 0}
     issued = 0
     with XSearchDeployment.create(
-        seed=seed, k=2, recorder=recorder, registry=registry,
-        fault_plan=plan, sealing_platform=SealingPlatform(),
-        checkpoint_interval=8,
+        config=stress_config(seed, plan),
+        recorder=recorder, registry=registry,
     ) as dep:
         while issued < TOTAL_OPS:
             use_batch = rng.random() < 0.3
@@ -151,10 +156,8 @@ def test_stress_is_deterministic_for_a_given_seed():
         rng = random.Random(7)
         recorder = TraceRecorder(clock=VirtualClock())
         plan = stress_plan(7)
-        with XSearchDeployment.create(
-            seed=7, k=2, recorder=recorder, fault_plan=plan,
-            sealing_platform=SealingPlatform(), checkpoint_interval=8,
-        ) as dep:
+        with XSearchDeployment.create(config=stress_config(7, plan),
+                                      recorder=recorder) as dep:
             for _ in range(40):
                 try:
                     dep.client.search(rng.choice(QUERIES), limit=3)

@@ -186,6 +186,11 @@ def test_single_controller_enforced():
     assert hooks.current_controller() is None
 
 
+def test_step_is_a_noop_without_a_controller():
+    assert hooks.current_controller() is None
+    hooks.step("outside-a-run")  # a no-op: must not raise
+
+
 def test_run_is_single_shot():
     sim = SimScheduler(seed=1)
     sim.spawn("t", lambda: None)

@@ -179,8 +179,4 @@ print(f"observability: {traces['trace_count']} traces, "
 PY
 
 echo
-echo "== public API guard =="
-python tools/check_api.py
-
-echo
 echo "wrote BENCH_fig5.json, BENCH_fig5_availability.json"

@@ -9,7 +9,7 @@ Usage:
 
 Exit status is 0 when the tree is clean (modulo the baseline) and 1 when
 any new finding exists, so CI can gate on it directly.  The JSON format
-is the stable machine contract (schema guarded by tools/check_api.py).
+is the stable machine contract (schema pinned in tests/public_surface.json).
 """
 
 import argparse
