@@ -71,6 +71,27 @@ def test_filter_results_k3(benchmark, merged_page):
     assert kept
 
 
+K7_SUBQUERIES = [
+    "cheap hotel rome", "diabetes symptoms", "nfl playoffs",
+    "mortgage rates", "flight deals", "weather forecast",
+    "car insurance", "recipe chicken",
+]
+
+
+@pytest.fixture(scope="module")
+def merged_page_k7(deployment):
+    # What the proxy filters on a k=7, limit=3 search: 8 pages of 3.
+    return deployment.engine.search_or(K7_SUBQUERIES, 3)
+
+
+def test_filter_results_k7(benchmark, merged_page_k7):
+    assert len(merged_page_k7) == 24
+    kept = benchmark(
+        filter_results, K7_SUBQUERIES[0], K7_SUBQUERIES[1:], merged_page_k7,
+    )
+    assert kept
+
+
 def test_end_to_end_private_search(benchmark, deployment):
     """Full chain: client → broker (AEAD) → enclave → engine → filter →
     back.  This is the in-process cost of one Figure 2 round."""

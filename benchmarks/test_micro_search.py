@@ -25,6 +25,18 @@ def test_engine_or_query_k3(benchmark, engine):
     assert results
 
 
+def test_engine_or_query_k7_limit3(benchmark, engine):
+    """The engine's share of one k=7, limit=3 private search."""
+    results = benchmark(
+        engine.search_or,
+        ["cheap hotel rome", "diabetes symptoms", "nfl playoffs",
+         "mortgage rates", "flight deals", "weather forecast",
+         "car insurance", "recipe chicken"],
+        3,
+    )
+    assert results
+
+
 def test_engine_build(benchmark):
     engine = benchmark.pedantic(
         SearchEngine.with_synthetic_corpus,

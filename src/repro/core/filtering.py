@@ -10,6 +10,12 @@ result is forwarded iff the original query attains the maximum score
 
 The proxy also strips analytics URL redirections before forwarding
 (paper §4.1).
+
+``nbCommonWords(q, e)`` is the size of the intersection of the two
+strings' word sets, so each query and each result's title and snippet is
+tokenized once per page, and a (result, sub-query) score is two set
+intersections: ``|Q & T| + |Q & S|``.  That is the same integer the
+per-pair definition gives, so every keep/drop decision is unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.errors import ProtocolError
 from repro.search.documents import SearchResult
-from repro.textutils import nb_common_words
+from repro.textutils import word_set
 
 
 @dataclass(frozen=True)
@@ -32,11 +38,14 @@ class ScoredResult:
     kept: bool
 
 
+def _overlap(query_words: set, title_words: set, snippet_words: set) -> int:
+    return len(query_words & title_words) + len(query_words & snippet_words)
+
+
 def score_result(query: str, result: SearchResult) -> int:
     """score[q] = nbCommonWords(q, title(r)) + nbCommonWords(q, desc(r))."""
-    return (
-        nb_common_words(query, result.title)
-        + nb_common_words(query, result.snippet)
+    return _overlap(
+        word_set(query), word_set(result.title), word_set(result.snippet)
     )
 
 
@@ -50,21 +59,25 @@ def filter_results(original_query: str, fake_queries, results,
     """
     if not original_query:
         raise ProtocolError("filtering needs the original query")
-    fake_queries = list(fake_queries)
+    original_words = word_set(original_query)
+    fake_words = [word_set(fake) for fake in fake_queries]
 
     decisions = []
     kept_results = []
     for result in results:
-        original_score = score_result(original_query, result)
+        title_words = word_set(result.title)
+        snippet_words = word_set(result.snippet)
+        original_score = _overlap(original_words, title_words, snippet_words)
         best_score = original_score
-        for fake in fake_queries:
-            fake_score = score_result(fake, result)
+        for words in fake_words:
+            fake_score = _overlap(words, title_words, snippet_words)
             if fake_score > best_score:
                 best_score = fake_score
         kept = original_score == best_score
-        decisions.append(
-            ScoredResult(result, original_score, best_score, kept)
-        )
+        if explain:
+            decisions.append(
+                ScoredResult(result, original_score, best_score, kept)
+            )
         if kept:
             kept_results.append(result)
 

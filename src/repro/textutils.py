@@ -64,6 +64,12 @@ def cosine_similarity(a: Counter, b: Counter) -> float:
     return dot / (norm_a * norm_b)
 
 
+def word_set(text: str) -> set:
+    """The distinct words of ``text``, stopwords kept: the unit that
+    ``nbCommonWords`` counts."""
+    return set(tokenize(text))
+
+
 def nb_common_words(query: str, element: str) -> int:
     """Number of distinct words shared by a query and a text element.
 
@@ -71,4 +77,4 @@ def nb_common_words(query: str, element: str) -> int:
     the paper: the X-Search proxy scores each result against each sub-query
     by the word overlap of the result's title and description.
     """
-    return len(set(tokenize(query)) & set(tokenize(element)))
+    return len(word_set(query) & word_set(element))

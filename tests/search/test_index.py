@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SearchError
 from repro.search.documents import WebDocument
-from repro.search.index import InvertedIndex
+from repro.search.index import InvertedIndex, Posting
 
 
 def doc(doc_id, title, body):
@@ -34,6 +34,21 @@ def test_postings_have_field_tfs(index):
     assert postings[1].title_tf == 1
     assert postings[1].body_tf == 1
     assert postings[3].title_tf == 1
+
+
+def test_postings_are_posting_values_in_insertion_order(index):
+    postings = index.postings("rome")
+    assert all(isinstance(p, Posting) for p in postings)
+    assert [(p.doc_id, p.title_tf, p.body_tf, p.weighted_tf)
+            for p in postings] == [(1, 1, 1, 4.0), (3, 1, 1, 4.0)]
+    assert index.postings("absent") == []
+
+
+def test_generation_counts_added_documents(index):
+    assert index.generation == 3
+    index.add(doc(4, "rome", "rome"))
+    assert index.generation == 4
+    assert [p.doc_id for p in index.postings("rome")] == [1, 3, 4]
 
 
 def test_title_terms_weighted(index):

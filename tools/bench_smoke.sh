@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Benchmark smoke run: crypto and proxy micro-benchmarks, boundary-crossing
-# accounting, the Figure 5 throughput/latency sweep and the
-# availability-under-faults sweep.
+# Benchmark smoke run: crypto, proxy and search micro-benchmarks,
+# boundary-crossing accounting, the Figure 5 throughput/latency sweep and
+# the availability-under-faults sweep.
 #
 # Writes the Figure 5 pytest-benchmark report to BENCH_fig5.json and the
 # availability digest to BENCH_fig5_availability.json at the repository
@@ -19,9 +19,9 @@ echo "== xlint preflight (boundary/determinism/taxonomy/locks/dataflow) =="
 python tools/xlint.py src/repro
 
 echo
-echo "== crypto and proxy micro-benchmarks =="
+echo "== crypto, proxy and search micro-benchmarks =="
 python -m pytest benchmarks/test_micro_crypto.py benchmarks/test_micro_proxy.py \
-    benchmarks/test_micro_boundary.py -q "$@"
+    benchmarks/test_micro_boundary.py benchmarks/test_micro_search.py -q "$@"
 
 echo
 echo "== figure 5: throughput vs latency =="
