@@ -9,15 +9,13 @@
 * :mod:`~repro.experiments.fig5_throughput_latency` — open-loop saturation
   sweeps (X-Search, PEAS, Tor);
 * :mod:`~repro.experiments.fig5_availability` — availability under a
-  seeded fault schedule (enclave kill + engine outages, ``fig5a``);
-* :mod:`~repro.experiments.fig5_cluster` — replica scale-out: the
-  saturation sweep at 1/2/4 enclave replicas behind the session
-  router, plus availability through a deterministic replica kill;
-* :mod:`~repro.experiments.fig5_server` — the saturation sweep through
-  the network serving layer: every lane a
-  :class:`~repro.netserve.RemoteClient` on its own TCP connection
-  (virtual-clock DES mode with byte-identical same-seed digests, and
-  a wall-clock loopback mode comparable to ``fig5_measured``);
+  seeded fault schedule (enclave kill + engine outages, ``fig5a``) and
+  through a deterministic replica kill;
+* :mod:`~repro.experiments.load` — Figure 5 measured on the real
+  deployment: one open-loop harness over three topologies (in-process
+  scheduler, replica cluster, loopback server), a deterministic
+  virtual-clock sweep and a wall-clock sweep, and the benchmark smoke
+  run with its gates as data (``bench``);
 * :mod:`~repro.experiments.fig6_memory` — enclave memory vs stored
   queries against the EPC limit;
 * :mod:`~repro.experiments.fig7_round_trip` — end-to-end RTT CDFs

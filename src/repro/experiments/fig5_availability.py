@@ -19,11 +19,16 @@ Success criterion (mirrored by ``benchmarks/test_fig5_availability.py``):
 availability ≥ 90 % with one enclave kill and two engine outages, the
 respawned enclave re-attests under the original measurement, and the
 restored history is exactly the checkpointed one.
+
+:func:`run_kill_one` is the cluster's counterpart: a replica killed
+mid-stream behind the session router, with the displaced sessions
+healing onto the survivor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.errors import ReproError
@@ -51,6 +56,9 @@ DEFAULT_TOTAL_REQUESTS = 120
 DEFAULT_CRASH_AT = 30
 DEFAULT_OUTAGES = ((40, 52), (80, 92))
 DEFAULT_CHECKPOINT_INTERVAL = 8
+#: The reduced-scale run (``--fast`` and the benchmark smoke run).
+FAST = {"total_requests": 60, "crash_at": 18,
+        "outages": ((26, 34), (44, 50)), "checkpoint_interval": 6}
 
 
 @dataclass
@@ -68,6 +76,7 @@ class AvailabilityResult:
     restore_matches_checkpoint: bool
     failure_kinds: dict = field(default_factory=dict)
     timeline: list = field(default_factory=list)  # per-request outcome tags
+    observability: dict = None  # digest of a profiled run, if any
 
     @property
     def served(self) -> int:
@@ -86,8 +95,8 @@ class AvailabilityResult:
         )
 
     def summary(self) -> dict:
-        """JSON-friendly digest (consumed by ``tools/bench_smoke.sh``)."""
-        return {
+        """JSON-friendly digest (``BENCH_fig5_availability.json``)."""
+        summary = {
             "total": self.total,
             "served": self.served,
             "ok": self.ok,
@@ -101,6 +110,9 @@ class AvailabilityResult:
             "restore_matches_checkpoint": self.restore_matches_checkpoint,
             "meets_target": self.meets_target(),
         }
+        if self.observability is not None:
+            summary["observability"] = self.observability
+        return summary
 
 
 def run(*, seed: int = 0,
@@ -189,6 +201,101 @@ def run(*, seed: int = 0,
     )
 
 
+# ----------------------------------------------------------------------
+# Availability through a deterministic replica kill
+# ----------------------------------------------------------------------
+KILL_ONE_REPLICAS = 2
+
+
+@dataclass(frozen=True)
+class ClusterAvailabilityResult:
+    clients: int
+    requests: int
+    ok: int
+    killed_replica: str
+    moved_sessions: int
+    reconnects: int
+    survivors: tuple
+
+    @property
+    def availability(self) -> float:
+        return self.ok / self.requests if self.requests else 1.0
+
+    def summary(self) -> dict:
+        return {
+            **asdict(self),
+            "replicas": KILL_ONE_REPLICAS,
+            "failed": self.requests - self.ok,
+            "availability": round(self.availability, 4),
+            "kill_at": self.requests // 2,
+            "survivors": list(self.survivors),
+        }
+
+
+def run_kill_one(*, clients: int = 6,
+                 total_requests: int = 60) -> ClusterAvailabilityResult:
+    """Sequential deterministic run killing one replica mid-stream.
+
+    ``clients`` brokers (fixed session ids, so the pin map is a pure
+    function of the ring) round-robin ``total_requests`` searches over
+    two replicas; halfway through, the replica holding the most
+    sessions is killed.  Every displaced client's next request raises
+    :class:`~repro.errors.EnclaveLostError` inside its broker, which
+    heals — new session id, fresh attestation against the survivor —
+    and retries, so the expected availability is 100 %.
+    """
+    # connect=False keeps the pin table exactly the minted clients (the
+    # default broker would add a randomly-named session), so the victim
+    # choice, the moved-session count and the heal count are all pure
+    # functions of the seed.
+    config = DeploymentConfig(k=2, replicas=KILL_ONE_REPLICAS,
+                              connect=False)
+    ok = 0
+    victim, pins = None, Counter()
+    with XSearchDeployment.create(config=config) as deployment:
+        minted = [
+            deployment.client(user_id=f"user-{i}",
+                              session_id=f"avail-{i:04d}")
+            for i in range(clients)
+        ]
+        router = deployment.cluster.router
+        for index in range(total_requests):
+            if index == total_requests // 2:
+                pins = Counter(router.ring_map(
+                    client._broker._session_id for client in minted
+                ).values())
+                victim = min(pins, key=lambda rid: (-pins[rid], rid))
+                deployment.cluster.kill_replica(victim)
+            try:
+                minted[index % clients].search(
+                    QUERY_POOL[index % len(QUERY_POOL)], limit=3)
+            except ReproError:
+                continue
+            ok += 1
+        survivors = router.healthy_ids()
+    return ClusterAvailabilityResult(
+        clients=clients,
+        requests=total_requests,
+        ok=ok,
+        killed_replica=victim,
+        moved_sessions=pins[victim],
+        reconnects=sum(c._broker.reconnects for c in minted),
+        survivors=survivors,
+    )
+
+
+def format_kill_one(result: ClusterAvailabilityResult) -> str:
+    return (
+        f"cluster availability — {KILL_ONE_REPLICAS} replicas, "
+        f"{result.clients} clients, {result.requests} requests; killed "
+        f"{result.killed_replica} at #{result.requests // 2} "
+        f"({result.moved_sessions} sessions moved, "
+        f"{result.reconnects} broker heals): "
+        f"{result.ok}/{result.requests} ok "
+        f"({result.availability:.1%})"
+    )
+
+
 def format_table(result: AvailabilityResult) -> str:
     lines = [
         f"requests served      {result.served}/{result.total} "
@@ -207,12 +314,7 @@ def format_table(result: AvailabilityResult) -> str:
 
 
 def main(fast: bool = False) -> AvailabilityResult:
-    if fast:
-        result = run(total_requests=60, crash_at=18,
-                     outages=((26, 34), (44, 50)),
-                     checkpoint_interval=6)
-    else:
-        result = run()
+    result = run(**FAST) if fast else run()
     print("Figure 5 companion — availability under injected faults")
     print(format_table(result))
     return result

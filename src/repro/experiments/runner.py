@@ -4,6 +4,7 @@ Usage::
 
     xsearch-experiments all          # every figure, paper-scale
     xsearch-experiments fig3 --fast  # one figure, CI-scale
+    xsearch-experiments bench        # the Figure 5 load sweeps + gates
 
 Every run is profiled through :class:`repro.obs.ProfileSession`: the
 session installs a trace recorder and metrics registry as the process
@@ -26,7 +27,6 @@ from repro.experiments import (
     fig3_reidentification,
     fig4_accuracy,
     fig5_availability,
-    fig5_cluster,
     fig5_throughput_latency,
     fig6_memory,
     fig7_round_trip,
@@ -39,7 +39,6 @@ EXPERIMENTS = {
     "fig4": fig4_accuracy,
     "fig5": fig5_throughput_latency,
     "fig5a": fig5_availability,
-    "fig5c": fig5_cluster,
     "fig6": fig6_memory,
     "fig7": fig7_round_trip,
 }
@@ -52,9 +51,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "report"],
+        choices=sorted(EXPERIMENTS) + ["all", "report", "bench"],
         help="which figure to regenerate ('report' renders all of them "
-             "into one markdown document)",
+             "into one markdown document; 'bench' runs the measured "
+             "Figure 5 sweeps, writes BENCH_fig5*.json and fails on "
+             "any gate)",
     )
     parser.add_argument(
         "--fast",
@@ -84,6 +85,14 @@ def main(argv=None) -> int:
 
         report.main(fast=args.fast, output=args.output)
         return 0
+    if args.experiment == "bench":
+        from repro.experiments import load
+
+        failed = load.bench()
+        if failed:
+            print(f"bench: failed gates: {', '.join(failed)}",
+                  file=sys.stderr)
+        return 1 if failed else 0
 
     clock = SystemClock()
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

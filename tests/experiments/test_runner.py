@@ -7,7 +7,7 @@ from repro.experiments import runner
 
 def test_runner_lists_all_figures():
     assert set(runner.EXPERIMENTS) == {
-        "fig1", "fig3", "fig4", "fig5", "fig5a", "fig5c", "fig6", "fig7"
+        "fig1", "fig3", "fig4", "fig5", "fig5a", "fig6", "fig7"
     }
 
 
