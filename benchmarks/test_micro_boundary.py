@@ -5,13 +5,11 @@ wall-clock time, because in the simulated runtime the interesting cost is
 the number of mode transitions (§5.3.3): 8,000 cycles per ecall and
 8,300 per ocall at 3.4 GHz dwarf the in-enclave compute.
 
-Three effects, each benchmarked against its per-request baseline:
+Two effects, each benchmarked against its per-request baseline:
 
 * connection pooling — steady-state searches pay ``send`` + ``recv``
   instead of ``sock_connect``/``send``/``recv``/``recv``/``close``;
-* batched ecalls — N proxied records amortise one ecall transition;
-* the in-enclave result cache — a repeated obfuscated OR-query costs
-  zero engine ocalls.
+* batched ecalls — N proxied records amortise one ecall transition.
 """
 
 import pytest
@@ -36,7 +34,6 @@ def make_proxy(engine, **kwargs):
     kwargs.setdefault("k", 1)
     kwargs.setdefault("history_capacity", 10_000)
     kwargs.setdefault("rng_seed", 31)
-    kwargs.setdefault("cache_bytes", 0)  # measured separately below
     return XSearchProxyHost(TrackingSearchEngine(engine), **kwargs)
 
 
@@ -125,25 +122,3 @@ def test_batching_amortises_the_ecall(benchmark, engine):
     print()
     print(f"ecalls for {ROUNDS} searches: batched={delta.ecalls} "
           f"singles={singles.ecalls}")
-
-
-def test_cache_hit_costs_zero_engine_ocalls(benchmark, engine):
-    """A repeated query (k=0 for a deterministic OR-query) is served from
-    enclave memory: one ecall in, zero ocalls out."""
-    proxy = make_proxy(engine, k=0, cache_bytes=4 * 1024 * 1024)
-    endpoint = connect(proxy)
-    search(proxy, endpoint, "cheap hotel rome")  # populate
-
-    before = proxy.enclave.boundary_snapshot()
-    for _ in range(ROUNDS):
-        search(proxy, endpoint, "cheap hotel rome")
-    delta = proxy.enclave.boundary_snapshot() - before
-    assert delta.ecalls == ROUNDS
-    assert delta.ocalls == 0
-
-    benchmark(lambda: search(proxy, endpoint, "cheap hotel rome"))
-    stats = proxy.perf_stats()
-    assert stats["cache_hits"] >= ROUNDS
-    print()
-    print(f"cache hits={stats['cache_hits']} "
-          f"engine requests={stats['engine_requests']}")

@@ -1,8 +1,8 @@
 """Lock-discipline checker: shared mutable state only under its lock.
 
 The proxy serves sessions from multiple TCS threads (paper §4.1), so
-the pooled/shared objects — connection pool, descriptor table, result
-caches, history, trace recorder, metrics — all guard their state with a
+the pooled/shared objects — connection pool, descriptor table, degraded
+cache, history, trace recorder, metrics — all guard their state with a
 lock.  The discipline is declarative: :data:`LOCK_MAP` names, per
 class, which attributes each lock guards, and this checker proves every
 lexical access happens inside a ``with self.<lock>:`` block.  Methods
@@ -34,7 +34,6 @@ LOCK_MAP = {
             "_session_lock": ("_sessions",),
             "_pool_lock": ("_pool",),
             "_perf_lock": ("_perf",),
-            "_inflight_lock": ("_inflight",),
         },
         "XSearchProxyHost": {
             "_enclave_lock": ("enclave", "_closed"),
@@ -44,8 +43,7 @@ LOCK_MAP = {
     },
     "repro.core.scheduler": {
         "RequestScheduler": {
-            "_queue_lock": ("_queue", "_active_sessions",
-                            "_inflight", "_closed"),
+            "_queue_lock": ("_queue", "_active_sessions", "_closed"),
         },
     },
     "repro.core.gateway": {
@@ -107,7 +105,6 @@ LOCK_ORDER = (
     "_checkpoint_lock",
     "_session_lock",
     "_fd_lock",
-    "_inflight_lock",
     "_pool_lock",
     "_concurrency_lock",
     "_perf_lock",

@@ -61,10 +61,11 @@ class DeploymentConfig:
     value.
 
     ``proxy_options`` carries the :class:`XSearchProxyHost` passthroughs
-    (``epc``, ``sealing_platform``, ``fault_plan``, ``cache_bytes``,
-    ``pool_connections``, …); ``replica_fault_plans`` maps a replica
-    *index* to its own :class:`~repro.faults.plan.FaultPlan`, so one
-    replica can be killed deterministically while the others serve.
+    (``epc``, ``sealing_platform``, ``fault_plan``,
+    ``degraded_cache_bytes``, ``pool_connections``, …);
+    ``replica_fault_plans`` maps a replica *index* to its own
+    :class:`~repro.faults.plan.FaultPlan`, so one replica can be killed
+    deterministically while the others serve.
     ``fanout=None`` resolves to the concurrent default (two engine
     connections per worker) when ``max_workers`` is set.
     """

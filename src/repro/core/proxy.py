@@ -16,10 +16,9 @@ Because mode transitions dominate the in-enclave compute, the engine leg
 is aggressively amortised: engine sockets (and, under HTTPS, established
 TLS channels) are pooled across requests with reconnect-on-failure, so
 steady state pays ``send`` + ``recv`` per search instead of the full
-connect/close sequence, and a repeated obfuscated OR-query is served from
-an in-enclave LRU cache (:mod:`repro.core.result_cache`) with zero engine
-ocalls.  Both knobs (``pool=…;cache=…``) are part of the attested config
-string.
+connect/close sequence.  The pooling knob (``pool=…``) is part of the
+attested config string.  Engine pages are not cached: the OR-query
+carries freshly drawn fakes, so at k ≥ 1 it never repeats.
 
 :class:`XSearchProxyHost` is the untrusted service wrapper running on the
 public cloud node: it loads the enclave, obtains attestation quotes from
@@ -75,7 +74,7 @@ from repro.core.protocol import (
     SearchResponse,
     decode_any_request,
 )
-from repro.core.result_cache import DEFAULT_CACHE_BYTES, ResultCache
+from repro.core.result_cache import ResultCache
 from repro.core.retry import DEFAULT_ENGINE_RETRY, RetryPolicy, call_with_retry
 from repro.crypto.channel import HandshakeResponder
 from repro.errors import (
@@ -137,18 +136,6 @@ class _EngineConnection:
         self.frames = deque()
 
 
-class _InflightQuery:
-    """Rendezvous for the in-enclave single-flight: concurrent identical
-    obfuscated OR-queries share one engine exchange and one cache fill."""
-
-    __slots__ = ("done", "results", "error")
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.results = None
-        self.error = None
-
-
 class XSearchEnclaveCode:
     """The trusted X-Search proxy logic (everything inside the TEE)."""
 
@@ -171,9 +158,6 @@ class XSearchEnclaveCode:
         self._pool_lock = threading.Lock()
         self._fanout = 1
         self._fanout_pool = None
-        self._inflight = {}
-        self._inflight_lock = threading.Lock()
-        self._cache = None
         self._degraded = None
         self._retry_policy = DEFAULT_ENGINE_RETRY
         self._perf_lock = threading.Lock()
@@ -186,7 +170,6 @@ class XSearchEnclaveCode:
             "engine_retries": 0,
             "engine_failures": 0,
             "degraded_hits": 0,
-            "singleflight_hits": 0,
         }
 
     def _bump(self, name: str) -> None:
@@ -218,7 +201,6 @@ class XSearchEnclaveCode:
              rng_seed: int = None, engine_ca_key=None,
              pool_connections: bool = True,
              pool_capacity: int = DEFAULT_POOL_CAPACITY,
-             cache_bytes: int = DEFAULT_CACHE_BYTES,
              retry_policy: RetryPolicy = None,
              degraded_cache_bytes: int = DEFAULT_DEGRADED_CACHE_BYTES,
              fanout: int = 1) -> None:
@@ -232,15 +214,15 @@ class XSearchEnclaveCode:
         ``pool_connections`` keeps engine sockets (and established TLS
         channels) alive across requests instead of paying a
         ``sock_connect``/``close`` ocall pair and a TLS handshake per
-        search.  ``cache_bytes`` sizes the in-enclave LRU result cache
-        (0 disables it); its memory is charged to the EPC model.
+        search.
 
         ``retry_policy`` governs the engine leg: transient transport
         failures are retried on fresh connections up to
         ``retry_policy.max_attempts`` times before the request is either
         served from the degraded cache or failed.
         ``degraded_cache_bytes`` sizes the in-enclave cache of last-known
-        filtered results per original query (0 disables degraded mode).
+        filtered results per original query (0 disables degraded mode);
+        its memory is charged to the EPC model.
 
         ``fanout`` caps how many engine legs of one batched ecall run in
         parallel across pooled connections (1 = strictly serial, the
@@ -257,8 +239,6 @@ class XSearchEnclaveCode:
             raise EnclaveError("max_sessions must be positive")
         if pool_capacity <= 0:
             raise EnclaveError("pool_capacity must be positive")
-        if cache_bytes < 0:
-            raise EnclaveError("cache_bytes cannot be negative")
         if degraded_cache_bytes < 0:
             raise EnclaveError("degraded_cache_bytes cannot be negative")
         if fanout < 1:
@@ -273,9 +253,6 @@ class XSearchEnclaveCode:
         self._engine_ca_key = engine_ca_key
         self._pool_connections = bool(pool_connections)
         self._pool_capacity = pool_capacity
-        if cache_bytes:
-            self._cache = ResultCache(cache_bytes,
-                                      enclave_memory=self.memory)
         if degraded_cache_bytes:
             self._degraded = ResultCache(
                 degraded_cache_bytes,
@@ -505,28 +482,18 @@ class XSearchEnclaveCode:
 
     @ecall
     def perf_stats(self) -> dict:
-        """Hot-path observability counters (pool, cache, engine traffic).
+        """Hot-path observability counters (pool, engine traffic).
 
         Everything reported here describes events the host can already
-        observe on its side of the boundary (connects, requests, absence
-        of engine traffic on cache hits) — exposing the counters leaks
-        nothing beyond the §3 adversary's view.
+        observe on its side of the boundary (connects, requests) —
+        exposing the counters leaks nothing beyond the §3 adversary's
+        view.
         """
         self._require_configured()
         with self._perf_lock:
             stats = dict(self._perf)
-        if self._cache is not None:
-            stats.update(
-                cache_hits=self._cache.stats.hits,
-                cache_misses=self._cache.stats.misses,
-                cache_insertions=self._cache.stats.insertions,
-                cache_evictions=self._cache.stats.evictions,
-                cache_bytes=self._cache.byte_size,
-                cache_entries=len(self._cache),
-            )
-        else:
-            stats.update(cache_hits=0, cache_misses=0, cache_insertions=0,
-                         cache_evictions=0, cache_bytes=0, cache_entries=0)
+        # Constant zeros: perfbench/harness.py still reads these keys.
+        stats.update(cache_hits=0, cache_misses=0, singleflight_hits=0)
         return stats
 
     # ------------------------------------------------------------------
@@ -625,7 +592,8 @@ class XSearchEnclaveCode:
         """Sizes-only consistency audit of the in-enclave tables.
 
         The simulation's invariant oracles call this after every run to
-        prove no interleaving tore the history or cache accounting.
+        prove no interleaving tore the history or degraded-cache
+        accounting.
         Everything reported is byte counts and entry counts — data the
         host could already derive from the EPC metering it performs —
         so exposing the audit leaks nothing beyond the §3 adversary's
@@ -633,8 +601,6 @@ class XSearchEnclaveCode:
         """
         self._require_configured()
         report = {"history": self._history.integrity_report()}
-        if self._cache is not None:
-            report["result_cache"] = self._cache.integrity_report()
         if self._degraded is not None:
             report["degraded_cache"] = self._degraded.integrity_report()
         report["consistent"] = all(
@@ -734,58 +700,7 @@ class XSearchEnclaveCode:
         return SearchResponse(results=results)
 
     def _query_engine(self, or_query: str, limit: int) -> list:
-        """Talk HTTP(S) to the search engine through the socket ocalls.
-
-        The result page for the obfuscated OR-query is looked up in (and
-        fed back into) the in-enclave cache first: a hit performs *zero*
-        engine ocalls.  The filtering step runs on the caller's side in
-        both cases, so each request is still filtered against its own
-        fresh fake set.
-        """
-        cache_key = f"{limit}\x00{or_query}"
-        if self._cache is None:
-            return self._fetch_results(or_query, limit, cache_key=None)
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            event(self._recorder, "cache.hit")
-            return list(cached)
-        # Single-flight: when parallel batch-mates miss on the same
-        # obfuscated OR-query, one leader performs the engine exchange
-        # and the cache fill; followers wait and share the result —
-        # same observable state as racing the shared cache, minus the
-        # duplicate ocalls.
-        with self._inflight_lock:
-            flight = self._inflight.get(cache_key)
-            leader = flight is None
-            if leader:
-                flight = _InflightQuery()
-                self._inflight[cache_key] = flight
-        if not leader:
-            # Sim-aware wait: a simulated follower must yield to the
-            # scheduler while the leader fills the cache, or the whole
-            # simulation would wedge on the run token.
-            hooks.sim_wait(flight.done)
-            self._bump("singleflight_hits")
-            event(self._recorder, "cache.coalesced")
-            if flight.error is not None:
-                raise flight.error
-            return list(flight.results)
-        try:
-            flight.results = self._fetch_results(
-                or_query, limit, cache_key=cache_key
-            )
-        except ReproError as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._inflight_lock:
-                self._inflight.pop(cache_key, None)
-            flight.done.set()
-        return list(flight.results)
-
-    def _fetch_results(self, or_query: str, limit: int, *,
-                       cache_key) -> list:
-        """The actual engine exchange (HTTP over ocalls) + cache fill."""
+        """Talk HTTP(S) to the search engine through the socket ocalls."""
         encoded = urllib.parse.quote_plus(or_query)
         http_request = (
             f"GET /search?q={encoded}&limit={limit} HTTP/1.1\r\n"
@@ -801,10 +716,7 @@ class XSearchEnclaveCode:
         )
         if status != 200:
             raise NetworkError(f"search engine returned HTTP {status}")
-        results = parse_results_body(body)
-        if cache_key is not None:
-            self._cache.put(cache_key, tuple(results))
-        return results
+        return parse_results_body(body)
 
     def _on_engine_retry(self, attempt: int, exc: Exception) -> None:
         self._bump("engine_retries")
@@ -1039,7 +951,6 @@ class XSearchProxyHost:
                  engine_ca_key=None,
                  engine_tls_config: TlsServerConfig = None,
                  pool_connections: bool = True,
-                 cache_bytes: int = DEFAULT_CACHE_BYTES,
                  retry_policy: RetryPolicy = None,
                  degraded_cache_bytes: int = DEFAULT_DEGRADED_CACHE_BYTES,
                  fanout: int = 1,
@@ -1056,12 +967,12 @@ class XSearchProxyHost:
         https_flag = 1 if engine_ca_key is not None else 0
         pool_flag = 1 if pool_connections else 0
         # The performance knobs are part of the attested configuration:
-        # a proxy that silently disables pooling or resizes the cache has
-        # a different measurement.
+        # a proxy that silently disables pooling or resizes the degraded
+        # cache has a different measurement.
         self._config = (
             f"k={k};x={history_capacity};https={https_flag};"
-            f"pool={pool_flag};cache={cache_bytes};"
-            f"dc={degraded_cache_bytes};fo={fanout}".encode("ascii")
+            f"pool={pool_flag};dc={degraded_cache_bytes};"
+            f"fo={fanout}".encode("ascii")
         )
         self._fault_plan = fault_plan
         self._cost_model = cost_model
@@ -1072,7 +983,7 @@ class XSearchProxyHost:
             k=k, history_capacity=history_capacity,
             max_sessions=max_sessions,
             rng_seed=rng_seed, engine_ca_key=engine_ca_key,
-            pool_connections=pool_connections, cache_bytes=cache_bytes,
+            pool_connections=pool_connections,
             retry_policy=retry_policy,
             degraded_cache_bytes=degraded_cache_bytes,
             fanout=fanout,
@@ -1393,7 +1304,7 @@ class XSearchProxyHost:
         return entries
 
     def perf_stats(self) -> dict:
-        """The enclave's hot-path counters (pool/cache/engine traffic)."""
+        """The enclave's hot-path counters (pool/engine traffic)."""
         return self._call("perf_stats")
 
     def history_integrity(self) -> dict:

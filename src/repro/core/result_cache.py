@@ -1,20 +1,10 @@
-"""EPC-metered LRU cache of engine result pages, kept inside the enclave.
+"""EPC-metered LRU cache of filtered result pages, kept inside the enclave.
 
-Web-search workloads are heavily Zipfian: a small set of popular queries
-dominates the traffic, and under Algorithm 1 the obfuscated ``q1 OR … OR
-q(k+1)`` strings repeat whenever the drawn fakes coincide (always, for
-k = 0).  Caching the engine's *raw* result page keyed on the obfuscated
-OR-query therefore short-circuits the entire engine exchange — no
-``sock_connect``/``send``/``recv`` ocalls, no TLS records — for repeated
-queries, while Algorithm 2 still filters the cached page against the
-fresh fake set of each request.
-
-Privacy: the cache stores only data derived from traffic the host has
-already observed (the obfuscated query and the engine's public answer),
-and it lives in enclave memory, so the host cannot read it.  What a
-cache hit *does* reveal to the host is the absence of engine traffic for
-that request — an observation it could equally make by timing; see
-docs/THREAT_MODEL.md.
+The proxy's degraded mode uses it: the last filtered results per
+original user query (and result limit) are kept so that, when the engine
+stays unreachable after every retry, the proxy can still answer with a
+reply flagged ``degraded`` instead of an error.  Only *filtered* result
+sets are stored, so nothing about the fake queries leaks through it.
 
 Cost: entries are charged byte-for-byte to the enclave's
 :class:`~repro.sgx.runtime.EnclaveMemory` under a single key, so the
@@ -30,18 +20,13 @@ from dataclasses import dataclass
 from repro.errors import EnclaveError
 from repro.sim import hooks
 
-# Default byte budget: a few thousand result pages, far below the EPC.
-DEFAULT_CACHE_BYTES = 4 * 1024 * 1024
-
 # Per-entry bookkeeping overhead (dict slot, key string, LRU links).
 ENTRY_OVERHEAD_BYTES = 96
-
-_DEFAULT_MEMORY_KEY = "xsearch.result_cache"
 
 
 @dataclass
 class CacheStats:
-    """Counters exposed through the ``perf_stats`` ecall."""
+    """Lookup, insertion and eviction counters."""
 
     hits: int = 0
     misses: int = 0
@@ -50,17 +35,17 @@ class CacheStats:
 
 
 class ResultCache:
-    """A byte-bounded LRU map from obfuscated OR-query to result page.
+    """A byte-bounded LRU map from a query key to its result page.
 
     ``max_bytes`` bounds the cache's own accounting; the attached
     :class:`~repro.sgx.runtime.EnclaveMemory` (when provided) is kept in
-    sync so the EPC model sees every growth, shrink and eviction.  All
-    operations are lock-protected — the proxy serves sessions from
-    multiple TCS threads.
+    sync under ``memory_key`` so the EPC model sees every growth, shrink
+    and eviction.  All operations are lock-protected — the proxy serves
+    sessions from multiple TCS threads.
     """
 
-    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES, *,
-                 enclave_memory=None, memory_key: str = _DEFAULT_MEMORY_KEY):
+    def __init__(self, max_bytes: int, *, enclave_memory=None,
+                 memory_key: str = None):
         if max_bytes <= 0:
             raise EnclaveError("result cache byte budget must be positive")
         self.max_bytes = max_bytes

@@ -20,15 +20,12 @@ is that front end for :class:`~repro.core.proxy.XSearchProxyHost`:
   at most ``coalesce_window`` seconds once a backlog exists.  Exactly
   when load is highest, the per-request transition cost approaches
   ``1 / max_batch`` ecalls.
-* **single-flight dedup** — an identical in-flight submission (same
-  session, same ciphertext record) attaches to the pending ticket and
-  shares its one ecall and reply instead of burning a second transition.
-  The dedup key *includes the session id*: requests from different
-  users' crypto sessions are never merged, so no user's reply (or
-  trace) can absorb another user's traffic.  Distinct sessions may
-  still ride the same batch ecall — but as distinct records under
-  their own channel keys, exactly as ``request_batch`` has always
-  carried them.
+
+Submissions are never deduplicated: distinct sessions may ride the same
+batch ecall, but as distinct records under their own channel keys,
+exactly as ``request_batch`` has always carried them.  A re-submitted
+identical record is just another record, and the channel's counter
+nonce rejects it with a typed replay error.
 
 Ordering is the correctness keel: channel nonces are strictly
 increasing counters per direction, so records of one session must reach
@@ -42,6 +39,9 @@ isolation matches the merge: coalesced singles travel through the
 that user's ticket.  A *pre-formed* batch (the proxy's all-or-nothing
 ``request_batch`` contract) always executes alone and fails as one
 unit; brokers heal ``EnclaveLostError`` exactly as on the direct path.
+An untyped exception from the proxy resolves the batch's tickets with
+an :class:`~repro.errors.EnclaveError` naming only the exception type,
+and the worker carries on.
 
 The scheduler is deliberately dumb about payloads: it holds ciphertext
 only, opens host-placed spans that record sizes and counts (never
@@ -55,7 +55,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-from repro.errors import EnclaveError, ReproError
+from repro.errors import EnclaveError, ReproError, scrub
 from repro.obs.tracing import PLACEMENT_HOST, span
 from repro.net.clock import SystemClock
 from repro.sim import hooks
@@ -70,26 +70,19 @@ class _Ticket:
     """One queued unit of work: a pre-encrypted record (or a pre-formed
     batch of records) plus the rendezvous the submitter waits on."""
 
-    __slots__ = ("records", "sessions", "replies", "error", "event",
-                 "followers", "dedup_key")
+    __slots__ = ("records", "sessions", "replies", "error", "event")
 
-    def __init__(self, records, dedup_key=None):
+    def __init__(self, records):
         self.records = records              # [(session_id, record), ...]
         self.sessions = {sid for sid, _ in records}
         self.replies = None                 # tuple, aligned with records
         self.error = None
         self.event = threading.Event()
-        self.followers = []                 # duplicate in-flight tickets
-        self.dedup_key = dedup_key
 
     def resolve(self, replies=None, error=None):
         self.replies = replies
         self.error = error
         self.event.set()
-        for follower in self.followers:
-            follower.replies = replies
-            follower.error = error
-            follower.event.set()
 
     def wait(self):
         self.event.wait()
@@ -129,12 +122,11 @@ class RequestScheduler:
         self._recorder = recorder
         self._registry = registry
         # One condition guards all queue state: the ticket queue, the
-        # sessions currently riding an in-flight batch, the in-flight
-        # dedup table and the closed flag.
+        # sessions currently riding an in-flight batch and the closed
+        # flag.
         self._queue_lock = threading.Condition()
         self._queue = deque()
         self._active_sessions = set()
-        self._inflight = {}
         self._closed = False
         if registry is not None:
             registry.gauge("scheduler.queue_depth").set_function(
@@ -157,9 +149,7 @@ class RequestScheduler:
     # ------------------------------------------------------------------
     def request(self, session_id: str, record: bytes) -> bytes:
         """Enqueue one opaque record; blocks until its reply is ready."""
-        ticket = self._submit([(session_id, bytes(record))],
-                              dedup=True)
-        return ticket.wait()[0]
+        return self._submit([(session_id, bytes(record))]).wait()[0]
 
     def request_batch(self, batch) -> tuple:
         """Enqueue a pre-formed batch as one unit (all-or-nothing).
@@ -172,8 +162,7 @@ class RequestScheduler:
                    for session_id, record in batch]
         if not records:
             return ()
-        ticket = self._submit(records, dedup=False)
-        return tuple(ticket.wait())
+        return tuple(self._submit(records).wait())
 
     def close(self, *, close_proxy: bool = False) -> None:
         """Stop accepting work, drain the queue, join the workers.
@@ -211,40 +200,19 @@ class RequestScheduler:
     # ------------------------------------------------------------------
     # Submission side
     # ------------------------------------------------------------------
-    def _submit(self, records, *, dedup: bool) -> _Ticket:
-        dedup_key = records[0] if dedup and len(records) == 1 else None
-        ticket = _Ticket(records, dedup_key=dedup_key)
+    def _submit(self, records) -> _Ticket:
+        ticket = _Ticket(records)
         with self._queue_lock:
             if self._closed:
                 raise EnclaveError("request scheduler is closed")
-            if dedup_key is not None:
-                primary = self._inflight.get(dedup_key)
-                if primary is not None:
-                    # Same session, same ciphertext, still in flight:
-                    # share the primary's ecall and reply.  Replaying
-                    # the record would fail AEAD anyway (counter
-                    # nonces), so single-flight is also the only
-                    # correct answer for a duplicate submission.
-                    primary.followers.append(ticket)
-                    self._count("scheduler.dedup_hits")
-                    return ticket
-                self._inflight[dedup_key] = ticket
             while len(self._queue) >= self.queue_capacity:
                 self._queue_lock.wait()
                 if self._closed:
-                    self._forget_inflight_locked(ticket)
-                    error = EnclaveError("request scheduler is closed")
-                    ticket.resolve(error=error)  # followers too
-                    raise error
+                    raise EnclaveError("request scheduler is closed")
             self._queue.append(ticket)
             self._count("scheduler.submitted", len(records))
             self._queue_lock.notify_all()
         return ticket
-
-    def _forget_inflight_locked(self, ticket: _Ticket) -> None:
-        if (ticket.dedup_key is not None
-                and self._inflight.get(ticket.dedup_key) is ticket):
-            del self._inflight[ticket.dedup_key]
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self._registry is not None:
@@ -366,9 +334,15 @@ class RequestScheduler:
             # The whole transition failed (enclave lost, transport):
             # every ticket it carried gets the same typed error.
             error = exc
-        except Exception as exc:
-            self._resolve(batch, (), exc)
-            raise
+        except Exception as exc:  # xlint: disable=taxonomy
+            # An untyped failure is a bug, not an outcome: its message
+            # may quote plaintext, so callers see only its type, and the
+            # worker lives on to serve the rest of the queue.
+            self._count("scheduler.errors")
+            error = EnclaveError(
+                "request failed inside the proxy: "
+                + scrub(type(exc).__name__)
+            )
         self._resolve(batch, entries, error)
 
     def _resolve(self, batch, entries, error) -> None:
@@ -392,5 +366,4 @@ class RequestScheduler:
         with self._queue_lock:
             for ticket in batch:
                 self._active_sessions -= ticket.sessions
-                self._forget_inflight_locked(ticket)
             self._queue_lock.notify_all()

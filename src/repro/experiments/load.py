@@ -170,6 +170,8 @@ class LoadResult:
     points: list
     saturation_rps: float
     trace_digest: dict = None
+    #: SHA-256 over every result page the sweep received (virtual mode).
+    output_digest: str = None
 
     @property
     def peak_rps(self) -> float:
@@ -207,7 +209,8 @@ class LoadResult:
     def digest(self) -> str:
         """Canonical hash of the whole result (the determinism pin)."""
         payload = {"summary": self.summary(),
-                   "traces": self.trace_digest}
+                   "traces": self.trace_digest,
+                   "outputs": self.output_digest}
         canonical = json.dumps(payload, sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -413,6 +416,7 @@ def run_virtual(topology: InProcess, *, rates, duration_seconds: float,
     """
     fanout = 2 * topology.workers
     recorder = TraceRecorder()
+    outputs = hashlib.sha256()
     points = []
     config = DeploymentConfig(seed=seed, k=k, fanout=fanout)
     with _whole_engine_legs(), \
@@ -438,8 +442,9 @@ def run_virtual(topology: InProcess, *, rates, duration_seconds: float,
                     index += 1
                 size = len(batch)
                 before = enclave.boundary_snapshot().cycles
-                client.search_batch([queries[j] for j in batch],
-                                    limit=limit)
+                pages = client.search_batch([queries[j] for j in batch],
+                                            limit=limit)
+                outputs.update(repr(pages).encode("utf-8"))
                 cycles = enclave.boundary_snapshot().cycles - before
                 done = start + (cycles / DEFAULT_CLOCK_HZ
                                 + COMPUTE_PER_RECORD * size
@@ -463,6 +468,7 @@ def run_virtual(topology: InProcess, *, rates, duration_seconds: float,
         points=points,
         saturation_rps=saturation_rate(points),
         trace_digest=trace_digest(recorder),
+        output_digest=outputs.hexdigest(),
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from repro.errors import EnclaveError, EnclaveLostError
 from repro.faults.plan import KIND_CRASH, KIND_PRESSURE, SITE_ECALL, SITE_EPC
@@ -340,8 +340,9 @@ class EnclaveMemory:
 def estimate_size(obj) -> int:
     """Deep byte-size estimate of a Python object graph.
 
-    Follows lists/tuples/sets/dicts one level at a time with cycle
-    protection.  Good enough to meter query strings and index structures.
+    Follows lists/tuples/sets/dicts and dataclass instances (their
+    fields) one level at a time with cycle protection.  Good enough to
+    meter query strings, result pages and index structures.
     """
     seen = set()
     total = 0
@@ -357,6 +358,8 @@ def estimate_size(obj) -> int:
             stack.extend(current.values())
         elif isinstance(current, (list, tuple, set, frozenset)):
             stack.extend(current)
+        elif is_dataclass(current) and not isinstance(current, type):
+            stack.extend(getattr(current, f.name) for f in fields(current))
     return total
 
 

@@ -17,14 +17,13 @@ lazy-loads everything that imports the core back (``world``,
 """
 
 from repro.sim import hooks
-from repro.sim.hooks import SimAwareLock, sim_wait, step
+from repro.sim.hooks import SimAwareLock, step
 from repro.sim.scheduler import SimDeadlockError, SimError, SimScheduler
 from repro.sim.trace import SimTrace
 
 __all__ = [
     "hooks",
     "step",
-    "sim_wait",
     "SimAwareLock",
     "SimScheduler",
     "SimError",

@@ -26,7 +26,6 @@ __all__ = [
     "uninstall",
     "current_controller",
     "SimAwareLock",
-    "sim_wait",
 ]
 
 #: The installed controller, or None outside a simulation.  Reads are
@@ -76,29 +75,11 @@ def current_controller():
     return _CONTROLLER
 
 
-def sim_wait(event: threading.Event, timeout: float = None) -> bool:
-    """Wait on ``event`` without wedging the simulation.
-
-    A thread that blocks natively while holding the simulation's run
-    token would freeze every other task, so when the calling thread is
-    managed we spin: poll the event, and yield through the controller
-    between polls.  Unmanaged threads take the native wait.
-    """
-    controller = _CONTROLLER
-    if controller is None or not controller.manages_current():
-        return event.wait(timeout)
-    spins = 0
-    while not event.is_set():
-        controller.on_step("wait.event", {"spins": spins})
-        spins += 1
-    return True
-
-
 class SimAwareLock:
     """A mutex that yields to the simulation instead of blocking.
 
     Drop-in replacement for ``threading.Lock`` on locks whose critical
-    sections *contain* step points (history, result cache): a managed
+    sections *contain* step points (history, degraded cache): a managed
     thread that finds the lock held parks at a ``lock.wait:<name>``
     step so the scheduler can run the holder forward.  Unmanaged
     threads block natively, exactly like a plain lock.

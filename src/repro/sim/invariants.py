@@ -15,10 +15,9 @@ machine-checkable properties:
 * **per-session-fifo** — channel nonces are strict counters, so any
   reordering or cross-session splice of one session's records surfaces
   as an AEAD failure; a clean run therefore never sees an
-  authentication error;
-* **no-cross-user-dedup** — requests of different users are never
-  merged into one reply (the scheduler's dedup counter stays zero; the
-  workload makes every user's queries distinct so any hit is a splice);
+  authentication error.  This also covers merging two users' requests
+  into one reply: a reply sealed under another session's keys cannot
+  pass AEAD;
 * **session-pin-stability** — a session's replica pin never moves
   while its owner is healthy (live sessions cannot migrate: their
   channel endpoint is inside one enclave);
@@ -26,8 +25,8 @@ machine-checkable properties:
   absorbed by at least one survivor (unless an injected enclave crash
   explains the miss), so inherited users keep warm histories;
 * **history-integrity** — the in-enclave byte/counter accounting of
-  history and caches recomputes consistently (the mutation gate's
-  planted lock bug is caught exactly here).
+  history and the degraded cache recomputes consistently (the mutation
+  gate's planted lock bug is caught exactly here).
 """
 
 from __future__ import annotations
@@ -77,16 +76,6 @@ def per_session_fifo(world) -> list:
                 f"failure means per-session FIFO was broken ({detail})"
             )
     return violations
-
-
-def no_cross_user_dedup(world) -> list:
-    hits = world.registry.counter("scheduler.dedup_hits").value
-    if hits:
-        return [
-            f"scheduler.dedup_hits = {hits} although every user's "
-            f"queries are distinct: two users' requests were merged"
-        ]
-    return []
 
 
 def session_pin_stability(world) -> list:
@@ -140,7 +129,6 @@ INVARIANTS = {
     "exactly-one-outcome": exactly_one_outcome,
     "trace-oracles": trace_oracles,
     "per-session-fifo": per_session_fifo,
-    "no-cross-user-dedup": no_cross_user_dedup,
     "session-pin-stability": session_pin_stability,
     "sealed-convergence": sealed_convergence,
     "history-integrity": history_integrity,

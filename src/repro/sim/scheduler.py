@@ -46,10 +46,10 @@ class SimError(ReproError):
 
 
 class SimDeadlockError(SimError):
-    """Every ready task is parked on a lock/event wait site."""
+    """Every ready task is parked on a lock wait site."""
 
 
-_WAIT_PREFIXES = ("lock.wait:", "wait.event")
+_WAIT_PREFIX = "lock.wait:"
 
 
 class SimTask:
@@ -166,7 +166,7 @@ class SimScheduler:
                         f"{[(t.name, t.last_site) for t in ready]}"
                     )
                 if all(
-                    t.last_site.startswith(_WAIT_PREFIXES) for t in ready
+                    t.last_site.startswith(_WAIT_PREFIX) for t in ready
                 ):
                     blocked_rounds += 1
                     if blocked_rounds > _DEADLOCK_PATIENCE:

@@ -1,7 +1,7 @@
-"""Lock fixtures for the concurrency PR: the scheduler's queue lock,
-the enclave's single-flight lock and the cycle counter's lock are
-registered in LOCK_MAP — so xlint proves every guarded access — and
-their ranks in LOCK_ORDER match the runtime nesting."""
+"""Lock fixtures for the concurrent path: the scheduler's queue lock and
+the cycle counter's lock are registered in LOCK_MAP — so xlint proves
+every guarded access — and their ranks in LOCK_ORDER match the runtime
+nesting."""
 
 from __future__ import annotations
 
@@ -11,13 +11,7 @@ from repro.analysis.checks.locks import LOCK_MAP, LOCK_ORDER
 def test_scheduler_queue_lock_is_registered():
     scheduler_map = LOCK_MAP["repro.core.scheduler"]["RequestScheduler"]
     guarded = set(scheduler_map["_queue_lock"])
-    assert guarded == {"_queue", "_active_sessions", "_inflight",
-                       "_closed"}
-
-
-def test_enclave_singleflight_lock_is_registered():
-    enclave_map = LOCK_MAP["repro.core.proxy"]["XSearchEnclaveCode"]
-    assert enclave_map["_inflight_lock"] == ("_inflight",)
+    assert guarded == {"_queue", "_active_sessions", "_closed"}
 
 
 def test_cycle_counter_lock_is_registered():
@@ -32,10 +26,6 @@ def test_lock_order_ranks_match_runtime_nesting():
     # can reach the proxy (and thus every inner lock) while a worker
     # holds queue work, so it must rank before the proxy's locks.
     assert rank["_queue_lock"] < rank["_enclave_lock"]
-    # The single-flight lock wraps only the flight table; the leader
-    # acquires the pool/perf locks afterwards while fetching.
-    assert rank["_inflight_lock"] < rank["_pool_lock"]
-    assert rank["_inflight_lock"] < rank["_perf_lock"]
     # CycleCounter._lock nests inside the enclave's concurrency lock
     # (boundary accounting happens during a crossing).
     assert rank["_concurrency_lock"] < rank["_lock"]

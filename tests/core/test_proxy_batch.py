@@ -18,7 +18,7 @@ from repro.search.tracking import TrackingSearchEngine
 def proxy(small_engine):
     return XSearchProxyHost(
         TrackingSearchEngine(small_engine), k=1, history_capacity=1000,
-        rng_seed=13, cache_bytes=0,
+        rng_seed=13,
     )
 
 

@@ -21,7 +21,6 @@ def make_proxy(engine, **kwargs):
     kwargs.setdefault("k", 1)
     kwargs.setdefault("history_capacity", 1000)
     kwargs.setdefault("rng_seed", 21)
-    kwargs.setdefault("cache_bytes", 0)  # isolate pooling from caching
     return XSearchProxyHost(TrackingSearchEngine(engine), **kwargs)
 
 

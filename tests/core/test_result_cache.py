@@ -1,9 +1,11 @@
-"""The in-enclave result cache: LRU semantics, EPC metering, privacy.
+"""The in-enclave result cache: LRU semantics, EPC metering, and its one
+user, the proxy's degraded mode.
 
-The cache exploits the Zipfian query workload: a repeated obfuscated
-OR-query is served from enclave memory with *zero* engine ocalls, and
-its bytes are charged to the EPC model so Figure 6's memory pressure
-applies to it like to the history table.
+The proxy keeps the last filtered results per original query (and
+limit) so an engine outage can still be answered, flagged ``degraded``.
+Its bytes are charged to the EPC model so Figure 6's memory pressure
+applies to it like to the history table.  Engine pages are not cached:
+every search reaches the engine while it is up.
 """
 
 import pytest
@@ -12,10 +14,13 @@ from repro.core.proxy import XSearchProxyHost
 from repro.core.protocol import SearchRequest, SearchResponse
 from repro.core.result_cache import ResultCache
 from repro.crypto.channel import HandshakeInitiator
-from repro.errors import EnclaveError
+from repro.errors import EnclaveError, EngineUnavailableError
+from repro.faults import ENGINE_SITES, KIND_REFUSE, FaultPlan
 from repro.search.tracking import TrackingSearchEngine
 from repro.sgx.epc import EnclavePageCache
 from repro.sgx.runtime import EnclaveMemory
+
+DEGRADED_KEY = "xsearch.degraded_cache"
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +74,7 @@ def test_cache_rejects_nonpositive_budget():
 
 def test_cache_charges_enclave_memory():
     memory = EnclaveMemory(EnclavePageCache())
-    cache = ResultCache(10_000, enclave_memory=memory)
+    cache = ResultCache(10_000, enclave_memory=memory, memory_key="cache")
     cache.put("a", "A", nbytes=3000)
     assert memory.occupancy_bytes == 3000
     cache.put("b", "B", nbytes=4000)
@@ -80,11 +85,11 @@ def test_cache_charges_enclave_memory():
 
 
 # ---------------------------------------------------------------------------
-# Proxy integration: zero engine ocalls on a repeated query
+# Proxy integration: the degraded cache
 # ---------------------------------------------------------------------------
 
 def make_proxy(engine, **kwargs):
-    kwargs.setdefault("k", 0)  # k=0 -> OR-query == query, deterministic
+    kwargs.setdefault("k", 1)
     kwargs.setdefault("history_capacity", 1000)
     kwargs.setdefault("rng_seed", 9)
     return XSearchProxyHost(TrackingSearchEngine(engine), **kwargs)
@@ -102,87 +107,88 @@ def search(proxy, endpoint, query, session_id="cache-session", limit=10):
     return SearchResponse.decode(endpoint.decrypt(reply))
 
 
-def test_repeated_query_served_from_cache_with_zero_engine_ocalls(
-        small_engine):
+def block_engine(plan):
+    for site in ENGINE_SITES:
+        plan.block(site, KIND_REFUSE)
+
+
+def test_repeated_query_reaches_the_engine_every_time(small_engine):
     proxy = make_proxy(small_engine)
     endpoint = connect(proxy)
-
     first = search(proxy, endpoint, "cheap hotel rome")
-    assert first.results
-    engine_obs = len(proxy.gateway._engine.observations)
-
-    before = proxy.enclave.boundary_snapshot()
     second = search(proxy, endpoint, "cheap hotel rome")
-    delta = proxy.enclave.boundary_snapshot() - before
-
-    # One request ecall crossed the boundary; nothing went out to the
-    # engine — no connect, no send, no recv, no close.
-    assert delta.ecalls == 1
-    assert delta.ocalls == 0
-    assert delta.ocall_counts == {}
-    assert len(proxy.gateway._engine.observations) == engine_obs
+    assert not second.degraded
     assert [r.url for r in second.results] == [r.url for r in first.results]
-
-    stats = proxy.perf_stats()
-    assert stats["cache_hits"] == 1
-    assert stats["engine_requests"] == 1
+    assert proxy.perf_stats()["engine_requests"] == 2
+    assert len(proxy.gateway._engine.observations) == 2
 
 
 def test_distinct_queries_miss_the_cache(small_engine):
-    proxy = make_proxy(small_engine)
+    plan = FaultPlan(seed=0)
+    proxy = make_proxy(small_engine, fault_plan=plan)
     endpoint = connect(proxy)
     search(proxy, endpoint, "hotel rome")
-    search(proxy, endpoint, "hotel paris")
-    stats = proxy.perf_stats()
-    assert stats["cache_hits"] == 0
-    assert stats["engine_requests"] == 2
+    block_engine(plan)
+    assert search(proxy, endpoint, "hotel rome").degraded
+    with pytest.raises(EngineUnavailableError):
+        search(proxy, endpoint, "hotel paris")
 
 
 def test_different_limits_are_distinct_cache_entries(small_engine):
-    proxy = make_proxy(small_engine)
+    plan = FaultPlan(seed=0)
+    proxy = make_proxy(small_engine, fault_plan=plan)
     endpoint = connect(proxy)
-    search(proxy, endpoint, "hotel rome", limit=5)
-    search(proxy, endpoint, "hotel rome", limit=10)
-    assert proxy.perf_stats()["cache_hits"] == 0
-    search(proxy, endpoint, "hotel rome", limit=5)
-    assert proxy.perf_stats()["cache_hits"] == 1
+    live = search(proxy, endpoint, "hotel rome", limit=5)
+    block_engine(plan)
+    stale = search(proxy, endpoint, "hotel rome", limit=5)
+    assert stale.degraded
+    assert stale.results == live.results
+    with pytest.raises(EngineUnavailableError):
+        search(proxy, endpoint, "hotel rome", limit=10)
+    assert proxy.perf_stats()["degraded_hits"] == 1
 
 
 def test_cache_disabled_always_hits_the_engine(small_engine):
-    proxy = make_proxy(small_engine, cache_bytes=0)
+    plan = FaultPlan(seed=0)
+    proxy = make_proxy(small_engine, fault_plan=plan,
+                       degraded_cache_bytes=0)
     endpoint = connect(proxy)
     search(proxy, endpoint, "cheap hotel rome")
-    search(proxy, endpoint, "cheap hotel rome")
-    stats = proxy.perf_stats()
-    assert stats["cache_hits"] == 0
-    assert stats["engine_requests"] == 2
-    assert len(proxy.gateway._engine.observations) == 2
+    assert DEGRADED_KEY not in proxy.enclave.memory
+    block_engine(plan)
+    with pytest.raises(EngineUnavailableError):
+        search(proxy, endpoint, "cheap hotel rome")
+    assert proxy.perf_stats()["degraded_hits"] == 0
 
 
 def test_cache_memory_is_charged_to_the_epc_model(small_engine):
     proxy = make_proxy(small_engine)
     endpoint = connect(proxy)
-    assert "xsearch.result_cache" not in proxy.enclave.memory
-    occupancy_before = proxy.enclave.memory.occupancy_bytes
-    search(proxy, endpoint, "cheap hotel rome")
-    assert "xsearch.result_cache" in proxy.enclave.memory
-    cache_bytes = proxy.enclave.memory.size_of("xsearch.result_cache")
-    assert cache_bytes > 0
-    assert proxy.enclave.memory.occupancy_bytes > occupancy_before
-    assert proxy.perf_stats()["cache_bytes"] == cache_bytes
+    memory = proxy.enclave.memory
+    assert DEGRADED_KEY not in memory
+    occupancy_before = memory.occupancy_bytes
+    response = search(proxy, endpoint, "cheap hotel rome")
+    assert response.results
+    charged = memory.size_of(DEGRADED_KEY)
+    # Metered deep: at least every string the cached page holds.
+    assert charged >= sum(len(r.url) + len(r.title) + len(r.snippet)
+                          for r in response.results)
+    assert memory.occupancy_bytes > occupancy_before
+    assert proxy.history_integrity()["degraded_cache"]["bytes"] == charged
 
 
 def test_cache_evicts_under_its_byte_budget(small_engine):
-    """A tiny cache budget forces LRU eviction while serving correctly."""
-    proxy = make_proxy(small_engine, cache_bytes=2048)
+    """A tiny budget forces LRU eviction while serving correctly."""
+    budget = 8 * 1024
+    proxy = make_proxy(small_engine, degraded_cache_bytes=budget)
     endpoint = connect(proxy)
-    for i in range(12):
-        search(proxy, endpoint, f"hotel rome {i}")
-    stats = proxy.perf_stats()
-    assert stats["cache_evictions"] > 0
-    assert stats["cache_bytes"] <= 2048
+    for i in range(40):
+        assert search(proxy, endpoint, f"hotel rome {i}", limit=3).results
+    report = proxy.history_integrity()["degraded_cache"]
+    assert report["consistent"]
+    assert 0 < report["entries"] < 40
     # The EPC charge shrank along with the evictions.
-    assert proxy.enclave.memory.size_of("xsearch.result_cache") <= 2048
+    assert proxy.enclave.memory.size_of(DEGRADED_KEY) <= budget
 
 
 def test_cache_pages_swap_under_a_small_epc(small_engine):
@@ -190,13 +196,13 @@ def test_cache_pages_swap_under_a_small_epc(small_engine):
     the paging machinery (EWB/ELDU events), observable in the EPC stats —
     exactly the Figure 6 pressure applied to the new allocation."""
     epc = EnclavePageCache(usable_bytes=2 * 4096)
-    proxy = make_proxy(small_engine, epc=epc, cache_bytes=32 * 1024,
-                       pool_connections=True)
+    proxy = make_proxy(small_engine, epc=epc,
+                       degraded_cache_bytes=32 * 1024)
     endpoint = connect(proxy)
     swaps_before = epc.stats.copy().swap_events
     for i in range(60):
         search(proxy, endpoint, f"crowded epc probe {i} term{i % 7}")
-    assert "xsearch.result_cache" in proxy.enclave.memory
+    assert DEGRADED_KEY in proxy.enclave.memory
     assert epc.stats.swap_events > swaps_before
     # Served correctly throughout the paging churn.
     assert proxy.perf_stats()["engine_requests"] == 60

@@ -1,5 +1,5 @@
-"""RequestScheduler: coalescing, single-flight dedup, per-session FIFO,
-failure isolation and shutdown semantics.
+"""RequestScheduler: coalescing, per-session FIFO, failure isolation,
+replayed records, worker survival and shutdown semantics.
 
 The policy tests run against a scripted fake proxy (deterministic, no
 threads inside), the integration tests against a real deployment in
@@ -13,8 +13,16 @@ import threading
 import pytest
 
 from repro.core.deployment import DeploymentConfig, XSearchDeployment
+from repro.core.protocol import SearchRequest, SearchResponse
+from repro.core.proxy import XSearchProxyHost
 from repro.core.scheduler import RequestScheduler
-from repro.errors import EnclaveError, EngineUnavailableError, ReproError
+from repro.crypto.channel import HandshakeInitiator
+from repro.errors import (
+    AuthenticationError,
+    EnclaveError,
+    EngineUnavailableError,
+    ReproError,
+)
 from repro.obs import MetricsRegistry
 
 
@@ -80,6 +88,22 @@ class FakeProxy:
 
     def measurement(self):
         return b"fake-measurement"
+
+
+class ExplodingProxy(FakeProxy):
+    """Fails its first call with an untyped error quoting a secret."""
+
+    SECRET = "plaintext query cheap hotel rome"
+
+    def __init__(self):
+        super().__init__()
+        self.exploded = False
+
+    def request(self, session_id, record):
+        if not self.exploded:
+            self.exploded = True
+            raise RuntimeError(self.SECRET)
+        return super().request(session_id, record)
 
 
 def records_of(proxy, method):
@@ -157,44 +181,6 @@ def test_per_record_failure_hits_only_the_failing_session():
     assert isinstance(outcomes["bad"], EngineUnavailableError)
 
 
-def test_single_flight_dedup_is_scoped_to_one_session():
-    gate = threading.Event()
-    registry = MetricsRegistry()
-    proxy = FakeProxy(gate=gate)
-    scheduler = RequestScheduler(proxy, max_workers=1,
-                                 coalesce_window=0.0, registry=registry)
-    results = []
-
-    def submit(sid):
-        results.append(scheduler.request(sid, b"same-bytes"))
-
-    head = threading.Thread(target=submit, args=("head",))
-    head.start()
-    while not proxy.calls:
-        pass
-    # Same session + same record twice -> one queued execution shared;
-    # another session with identical bytes -> its own record.
-    threads = [threading.Thread(target=submit, args=(sid,))
-               for sid in ("alice", "alice", "bob")]
-    for thread in threads:
-        thread.start()
-    while registry.counter("scheduler.dedup_hits").value < 1:
-        pass
-    while len(scheduler._queue) < 2:
-        pass
-    gate.set()
-    for thread in [head] + threads:
-        thread.join(timeout=5.0)
-    scheduler.close()
-    assert len(results) == 4
-    many = records_of(proxy, "request_many")
-    assert len(many) == 1
-    # alice's duplicate was absorbed; bob's identical bytes were NOT
-    # merged across sessions.
-    assert sorted(sid for sid, _ in many[0]) == ["alice", "bob"]
-    assert registry.counter("scheduler.dedup_hits").value == 1
-
-
 def test_preformed_batch_executes_alone_with_batch_semantics():
     gate = threading.Event()
     proxy = FakeProxy(gate=gate)
@@ -262,6 +248,28 @@ def test_per_session_fifo_keeps_submission_order():
     assert crossed == [b"first", b"second"]
 
 
+def test_untyped_proxy_failure_is_typed_and_keeps_the_worker():
+    proxy = ExplodingProxy()
+    registry = MetricsRegistry()
+    with RequestScheduler(proxy, max_workers=1,
+                          registry=registry) as scheduler:
+        with pytest.raises(EnclaveError) as caught:
+            scheduler.request("s", b"first")
+        assert "RuntimeError" in str(caught.value)
+        assert ExplodingProxy.SECRET not in str(caught.value)
+        assert registry.counter("scheduler.errors").value == 1
+        # The only worker survived: the next request is served.
+        replies = []
+        second = threading.Thread(
+            target=lambda: replies.append(scheduler.request("s", b"next")),
+            daemon=True,
+        )
+        second.start()
+        second.join(timeout=5.0)
+        assert not second.is_alive()
+        assert replies == [b"reply:next"]
+
+
 def test_close_rejects_new_work():
     proxy = FakeProxy()
     scheduler = RequestScheduler(proxy, max_workers=1)
@@ -321,6 +329,41 @@ def test_concurrent_deployment_serves_many_clients():
             thread.join(timeout=30.0)
         assert not errors
         assert len(results) == 6
+
+
+def test_duplicate_record_ends_in_the_replay_error(small_engine):
+    """Nothing deduplicates a re-submitted record: the channel's counter
+    nonce rejects the copy, and the session carries on."""
+    proxy = XSearchProxyHost(small_engine, k=1, history_capacity=100,
+                             rng_seed=3)
+    initiator = HandshakeInitiator()
+    proxy.begin_session("dup", initiator.hello())
+    endpoint = initiator.finish(proxy.channel_public())
+    record = endpoint.encrypt(SearchRequest("hotel rome", 3).encode())
+    outcomes = []
+
+    def submit():
+        try:
+            outcomes.append(scheduler.request("dup", record))
+        except ReproError as exc:
+            outcomes.append(exc)
+
+    with RequestScheduler(proxy, max_workers=2) as scheduler:
+        threads = [threading.Thread(target=submit) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        replies = [o for o in outcomes if isinstance(o, bytes)]
+        errors = [o for o in outcomes if not isinstance(o, bytes)]
+        assert len(replies) == 1
+        assert [type(error) for error in errors] == [AuthenticationError]
+        assert SearchResponse.decode(endpoint.decrypt(replies[0])).results
+
+        following = endpoint.encrypt(SearchRequest("hotel paris", 3).encode())
+        reply = scheduler.request("dup", following)
+        assert SearchResponse.decode(endpoint.decrypt(reply)).results
+    proxy.close()
 
 
 def test_default_deployment_has_no_scheduler():

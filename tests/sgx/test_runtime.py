@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import EnclaveError
+from repro.search.documents import SearchResult
 from repro.sgx.epc import EnclavePageCache
 from repro.sgx.runtime import (
     BOUNDARY_LOG_CAPACITY,
@@ -242,3 +243,10 @@ def test_estimate_size_handles_cycles():
 
 def test_estimate_size_grows_with_content():
     assert estimate_size(["x" * 1000]) > estimate_size(["x"])
+
+
+def test_estimate_size_descends_into_dataclass_fields():
+    result = SearchResult(rank=1, url="https://example.org/" + "u" * 200,
+                          title="t" * 150, snippet="s" * 190, score=1.0)
+    strings = len(result.url) + len(result.title) + len(result.snippet)
+    assert estimate_size((result,)) >= strings

@@ -84,8 +84,8 @@ def test_unit_hammer_is_deterministic():
 
 def test_deployment_sweep_under_epc_pressure():
     # Pressure-heavy chaos: every run fires EPC spikes while search
-    # traffic populates the cache; the post-run accounting audit (the
-    # history-integrity oracle covers the result cache too) and every
+    # traffic populates the degraded cache; the post-run accounting
+    # audit (the history-integrity oracle covers that cache too) and every
     # other oracle must hold.
     base = WorldSpec(seed=0, replicas=1, clients=3, ops_per_client=3,
                      chaos=("pressure", "pressure", "advance",

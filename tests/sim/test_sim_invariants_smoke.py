@@ -2,8 +2,9 @@
 
 Every run drives a full deployment (replica cluster, chaos schedule,
 client traffic) through a fresh interleaving and checks *all* invariant
-oracles — per-session FIFO, exactly-one-outcome, no cross-user dedup,
-sealed-history convergence, balanced spans, in-enclave accounting.
+oracles — per-session FIFO (which also catches a reply merged across
+users), exactly-one-outcome, sealed-history convergence, balanced spans,
+in-enclave accounting.
 Failures print the spec + digest, which is the reproduction recipe
 (see docs/TESTING.md).
 """
@@ -38,7 +39,6 @@ def test_every_oracle_is_wired():
         "exactly-one-outcome",
         "trace-oracles",
         "per-session-fifo",
-        "no-cross-user-dedup",
         "session-pin-stability",
         "sealed-convergence",
         "history-integrity",

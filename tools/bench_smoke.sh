@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Benchmark smoke run: crypto, proxy and search micro-benchmarks,
-# boundary-crossing accounting, the Figure 5 throughput/latency sweep,
+# Benchmark smoke run: the perfbench self-test (a sub-second run of each
+# declared workload, so a src/ change that drops a counter or
+# perf_stats key perfbench reads fails here), crypto, proxy and search
+# micro-benchmarks, boundary-crossing accounting, the Figure 5
+# throughput/latency sweep,
 # and `xsearch-experiments bench`: the measured Figure 5 load sweeps
 # (in-process, cluster, loopback server), the availability runs and
 # their acceptance gates, declared in repro.experiments.load.
@@ -21,6 +24,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== xlint preflight (boundary/determinism/taxonomy/locks/dataflow) =="
 python tools/xlint.py src/repro
+
+echo
+echo "== perfbench self-test (every declared metric still computes) =="
+python3 perfbench/selftest.py
 
 echo
 echo "== crypto, proxy and search micro-benchmarks =="
