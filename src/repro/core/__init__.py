@@ -62,7 +62,6 @@ from repro.core.retry import (
     call_with_retry,
 )
 from repro.core.scheduler import (
-    DEFAULT_COALESCE_WINDOW,
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_WORKERS,
     RequestScheduler,
@@ -107,5 +106,4 @@ __all__ = [
     "RequestScheduler",
     "DEFAULT_MAX_WORKERS",
     "DEFAULT_MAX_BATCH",
-    "DEFAULT_COALESCE_WINDOW",
 ]

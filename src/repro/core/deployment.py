@@ -40,7 +40,6 @@ from repro.core.proxy import (
 )
 from repro.core.retry import RetryPolicy
 from repro.core.scheduler import (
-    DEFAULT_COALESCE_WINDOW,
     DEFAULT_MAX_BATCH,
     RequestScheduler,
 )
@@ -77,7 +76,6 @@ class DeploymentConfig:
     connect: bool = True
     retry_policy: RetryPolicy = None
     max_workers: int = None
-    coalesce_window: float = DEFAULT_COALESCE_WINDOW
     max_batch: int = DEFAULT_MAX_BATCH
     fanout: int = None
     replicas: int = 1
@@ -271,7 +269,6 @@ class XSearchDeployment:
                 scheduler = RequestScheduler(
                     proxy,
                     max_workers=config.max_workers,
-                    coalesce_window=config.coalesce_window,
                     max_batch=config.max_batch,
                     recorder=recorder,
                     registry=registry,

@@ -119,6 +119,16 @@ DEFAULT_DEGRADED_CACHE_BYTES = 2 * 1024 * 1024
 DEFAULT_CHECKPOINT_INTERVAL = 64
 
 
+def _record_error(exc: Exception) -> ReproError:
+    """A record's failure as a typed error.  An untyped exception's
+    message may quote plaintext, so only its type name leaves."""
+    if isinstance(exc, ReproError):
+        return exc
+    return EnclaveError(
+        "record failed inside the enclave: " + scrub(type(exc).__name__)
+    )
+
+
 class _EngineConnection:
     """A persistent enclave→engine connection (socket fd + TLS channel).
 
@@ -383,7 +393,9 @@ class XSearchEnclaveCode:
         never advances the session's receive counter, and a post-decrypt
         failure (engine unreachable, protocol error) advances both
         sides symmetrically — so a victim of a transient fault can
-        simply resubmit on the same session.
+        simply resubmit on the same session.  An untyped exception is
+        isolated the same way, as an :class:`EnclaveError` naming only
+        its type, and serving carries on with the next record.
         """
         self._require_configured()
         batch = list(batch)
@@ -394,8 +406,8 @@ class XSearchEnclaveCode:
             try:
                 entries.append(("ok", self._handle_record(session_id,
                                                           record)))
-            except ReproError as exc:
-                entries.append(("err", exc))
+            except Exception as exc:  # xlint: disable=taxonomy
+                entries.append(("err", _record_error(exc)))
         return tuple(entries)
 
     def _handle_record(self, session_id: str, record: bytes) -> bytes:
@@ -441,10 +453,10 @@ class XSearchEnclaveCode:
                     raise ProtocolError(
                         "unhandled message type"
                     )  # pragma: no cover
-            except ReproError as exc:
+            except Exception as exc:
                 if not isolate:
                     raise
-                staged.append([None, None, None, exc, None])
+                staged.append([None, None, None, _record_error(exc), None])
         futures = {
             index: self._fanout_pool.submit(
                 self._complete_search, entry[1], entry[2]
@@ -461,8 +473,8 @@ class XSearchEnclaveCode:
                 try:
                     response = future.result()
                     error = None
-                except ReproError as exc:
-                    error = exc
+                except Exception as exc:  # xlint: disable=taxonomy
+                    error = _record_error(exc)
             resolved.append((endpoint, error, response))
             if error is not None and not isolate and first_error is None:
                 first_error = error

@@ -11,15 +11,15 @@ is that front end for :class:`~repro.core.proxy.XSearchProxyHost`:
   queue through the existing enclave/gateway locks.  The queue is
   bounded (``queue_capacity``), so a flood of clients applies
   backpressure at the door instead of growing memory without bound.
-* **adaptive ecall coalescing** — requests that queue up while every
-  worker is busy are folded into a single ``request_many`` ecall
-  (one metered enclave transition amortised over the whole batch).
-  Coalescing is *adaptive*: under light load a lone request is executed
-  immediately as a plain ``request`` ecall — no added latency — while
-  under pressure a worker gathers up to ``max_batch`` records, lingering
-  at most ``coalesce_window`` seconds once a backlog exists.  Exactly
-  when load is highest, the per-request transition cost approaches
-  ``1 / max_batch`` ecalls.
+* **ecall coalescing without waiting** — requests that queue up while
+  every worker is busy are folded into a single ``request_many`` ecall
+  (one metered enclave transition amortised over the whole batch).  A
+  worker takes whatever is eligible the moment it is free, up to
+  ``max_batch`` records, and crosses at once: it never waits for more
+  arrivals, so a lone request under light load is a plain ``request``
+  ecall with no added latency.  Batches grow only as fast as a backlog
+  does, so exactly when load is highest the per-request transition
+  cost approaches ``1 / max_batch`` ecalls.
 
 Submissions are never deduplicated: distinct sessions may ride the same
 batch ecall, but as distinct records under their own channel keys,
@@ -57,12 +57,10 @@ from collections import deque
 
 from repro.errors import EnclaveError, ReproError, scrub
 from repro.obs.tracing import PLACEMENT_HOST, span
-from repro.net.clock import SystemClock
 from repro.sim import hooks
 
 DEFAULT_MAX_WORKERS = 4
 DEFAULT_MAX_BATCH = 8
-DEFAULT_COALESCE_WINDOW = 0.002
 DEFAULT_QUEUE_CAPACITY = 1024
 
 
@@ -101,24 +99,19 @@ class RequestScheduler:
     """
 
     def __init__(self, proxy, *, max_workers: int = DEFAULT_MAX_WORKERS,
-                 coalesce_window: float = DEFAULT_COALESCE_WINDOW,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-                 clock=None, recorder=None, registry=None):
+                 recorder=None, registry=None):
         if max_workers < 1:
             raise ValueError("max_workers must be positive")
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if coalesce_window < 0:
-            raise ValueError("coalesce_window cannot be negative")
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be positive")
         self.proxy = proxy
         self.max_workers = max_workers
-        self.coalesce_window = coalesce_window
         self.max_batch = max_batch
         self.queue_capacity = queue_capacity
-        self._clock = clock if clock is not None else SystemClock()
         self._recorder = recorder
         self._registry = registry
         # One condition guards all queue state: the ticket queue, the
@@ -155,8 +148,9 @@ class RequestScheduler:
         """Enqueue a pre-formed batch as one unit (all-or-nothing).
 
         The batch keeps the proxy contract: every record succeeds or the
-        whole call fails with one typed error.  It may still be coalesced
-        *with other queued work* into a larger ``request_batch`` ecall.
+        whole call fails with one typed error.  It is never coalesced
+        with other queued work: it crosses alone, as one
+        ``request_batch`` ecall.
         """
         records = [(session_id, bytes(record))
                    for session_id, record in batch]
@@ -235,39 +229,22 @@ class RequestScheduler:
     def _collect(self):
         """Gather the next batch of tickets (or ``None`` at shutdown).
 
-        Adaptive coalescing: take whatever is immediately eligible; only
-        when a backlog exists (more than one ticket gathered, or more
-        work left queued) linger up to ``coalesce_window`` to let
-        arrivals fold into the same ecall.  A lone request under light
-        load is executed at once.
+        Takes whatever is eligible right now, up to ``max_batch``
+        records, and returns it for crossing at once.  The only wait is
+        for work to exist: a worker never holds a batch back for later
+        arrivals.
         """
         with self._queue_lock:
             while True:
-                batch, taken = self._take_eligible_locked([], set())
+                batch = self._take_eligible_locked()
                 if batch:
-                    break
+                    return batch
                 if self._closed and not self._queue:
                     return None
                 self._queue_lock.wait()
-            if (self.coalesce_window > 0
-                    and self._room_locked(batch)
-                    and (len(batch) > 1 or self._queue)):
-                deadline = self._clock.time() + self.coalesce_window
-                while self._room_locked(batch):
-                    remaining = deadline - self._clock.time()
-                    if remaining <= 0 or self._closed:
-                        break
-                    self._queue_lock.wait(timeout=remaining)
-                    batch, taken = self._take_eligible_locked(batch, taken)
-            return batch
 
-    def _room_locked(self, batch) -> bool:
-        if any(len(t.records) > 1 for t in batch):
-            return False    # a pre-formed batch executes alone
-        return sum(len(t.records) for t in batch) < self.max_batch
-
-    def _take_eligible_locked(self, batch, own_sessions):
-        """Move eligible tickets from the queue into ``batch``.
+    def _take_eligible_locked(self):
+        """Move eligible tickets from the queue into a new batch.
 
         A ticket is eligible when none of its sessions is riding another
         worker's in-flight batch — per-session FIFO: one session is in
@@ -278,7 +255,7 @@ class RequestScheduler:
         reason.  Multi-record tickets (all-or-nothing ``request_batch``
         semantics) are never merged with other work.
         """
-        size = sum(len(t.records) for t in batch)
+        batch, own_sessions, size = [], set(), 0
         kept = deque()
         shadowed = set()
         while self._queue:
@@ -304,7 +281,7 @@ class RequestScheduler:
         self._queue = kept
         if batch:
             self._queue_lock.notify_all()   # capacity freed for submitters
-        return batch, own_sessions
+        return batch
 
     def _execute(self, batch) -> None:
         payload = [pair for ticket in batch for pair in ticket.records]

@@ -127,7 +127,9 @@ class PacedEngine:
 @dataclass(frozen=True)
 class LoadPoint:
     """One offered rate of a sweep.  ``requests`` counts completed
-    searches, ``errors`` the ones that raised."""
+    searches, ``errors`` the ones that raised, and ``sheds`` the
+    requests and connections the TCP server refused (0 in-process, and
+    in virtual mode, whose one serial client is never refused)."""
 
     offered_rps: float
     achieved_rps: float
@@ -136,6 +138,7 @@ class LoadPoint:
     p99_latency: float
     requests: int
     errors: int
+    sheds: int
     ecalls: int
     mean_batch_size: float
     batch_histogram: dict  # batch size -> count (virtual mode only)
@@ -455,7 +458,7 @@ def run_virtual(topology: InProcess, *, rates, duration_seconds: float,
                 batch_sizes.append(size)
                 heapq.heappush(workers, done)
             points.append(_point(
-                rate, latencies, completions, errors=0,
+                rate, latencies, completions, errors=0, sheds=0,
                 ecalls=enclave.boundary_snapshot().ecalls - ecalls_before,
                 mean_batch_size=(sum(batch_sizes) / len(batch_sizes)
                                  if batch_sizes else 0.0),
@@ -508,7 +511,8 @@ class _Lane(threading.Thread):
 
 
 def _counters(deployment) -> tuple:
-    """(request ecalls, scheduler batches, scheduled records) so far.
+    """(request ecalls, scheduler batches, scheduled records, server
+    sheds) so far.
 
     Replicas share the deployment's registry, and the cycle counter
     stores its counts there, so one replica's boundary snapshot already
@@ -519,7 +523,8 @@ def _counters(deployment) -> tuple:
     return (sum(count for name, count in counts.items()
                 if name in REQUEST_ECALLS),
             registry.counter("scheduler.batches").value,
-            registry.counter("scheduler.submitted").value)
+            registry.counter("scheduler.submitted").value,
+            registry.counter("server.sheds").value)
 
 
 def run_wall(topology, *, rates, duration_seconds: float,
@@ -555,13 +560,14 @@ def run_wall(topology, *, rates, duration_seconds: float,
                 lane.start()
             for lane in lane_objs:
                 lane.join()
-            ecalls, batches, records = (
+            ecalls, batches, records, sheds = (
                 now - then for now, then in zip(_counters(deployment), before))
             points.append(_point(
                 rate,
                 [t for lane in lane_objs for t in lane.latencies],
                 [t for lane in lane_objs for t in lane.completions],
                 errors=sum(lane.errors for lane in lane_objs),
+                sheds=sheds,
                 ecalls=ecalls,
                 mean_batch_size=records / batches if batches else 0.0,
                 batch_histogram={},
@@ -584,7 +590,7 @@ def format_table(result: LoadResult) -> str:
         f"{result.saturation_rps:,.0f} req/s, peak "
         f"{result.peak_rps:,.1f} req/s",
         "  offered req/s   achieved req/s   p50 (ms)   p99 (ms)"
-        "   ecalls/req   mean batch   errors",
+        "   ecalls/req   mean batch   errors   sheds",
     ]
     for point in result.points:
         lines.append(
@@ -594,6 +600,7 @@ def format_table(result: LoadResult) -> str:
             f"   {point.ecalls_per_request:>10.3f}"
             f"   {point.mean_batch_size:>10.2f}"
             f"   {point.errors:>6}"
+            f"   {point.sheds:>5}"
         )
     return "\n".join(lines)
 

@@ -1,5 +1,6 @@
-"""RequestScheduler: coalescing, per-session FIFO, failure isolation,
-replayed records, worker survival and shutdown semantics.
+"""RequestScheduler: coalescing without a timed wait, per-session FIFO,
+failure isolation (untyped failures included), replayed records, worker
+survival and shutdown semantics.
 
 The policy tests run against a scripted fake proxy (deterministic, no
 threads inside), the integration tests against a real deployment in
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.core.protocol import SearchRequest, SearchResponse
-from repro.core.proxy import XSearchProxyHost
+from repro.core.proxy import XSearchEnclaveCode, XSearchProxyHost
 from repro.core.scheduler import RequestScheduler
 from repro.crypto.channel import HandshakeInitiator
 from repro.errors import (
@@ -106,14 +107,49 @@ class ExplodingProxy(FakeProxy):
         return super().request(session_id, record)
 
 
+class RecordingCondition(threading.Condition):
+    """A condition that records the timeout of every ``wait``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.timeouts = []
+
+    def wait(self, timeout=None):
+        self.timeouts.append(timeout)
+        return super().wait(timeout)
+
+
 def records_of(proxy, method):
     return [call for name, call in proxy.calls if name == method]
 
 
+def cross_behind_a_held_worker(scheduler, proxy, gate, sessions):
+    """Hold the only worker inside a gated proxy call, queue one record
+    per session behind it (in ``sessions`` order), then open the gate.
+    Returns the replies by session."""
+    replies = {}
+
+    def submit(sid):
+        replies[sid] = scheduler.request(sid, sid.encode())
+
+    threads = [threading.Thread(target=submit, args=("head",))]
+    threads[0].start()
+    while not proxy.calls:          # head request is inside the proxy
+        pass
+    for queued, sid in enumerate(sessions, start=1):
+        threads.append(threading.Thread(target=submit, args=(sid,)))
+        threads[-1].start()
+        while len(scheduler._queue) < queued:
+            pass
+    gate.set()
+    for thread in threads:
+        thread.join(timeout=5.0)
+    return replies
+
+
 def test_light_load_is_a_plain_request_ecall():
     proxy = FakeProxy()
-    with RequestScheduler(proxy, max_workers=2,
-                          coalesce_window=0.0) as scheduler:
+    with RequestScheduler(proxy, max_workers=2) as scheduler:
         reply = scheduler.request("s1", b"r1")
     assert reply == b"reply:r1"
     assert [name for name, _ in proxy.calls] == ["request"]
@@ -122,7 +158,7 @@ def test_light_load_is_a_plain_request_ecall():
 def test_backlog_coalesces_into_one_request_many_ecall():
     gate = threading.Event()
     proxy = FakeProxy(gate=gate)
-    scheduler = RequestScheduler(proxy, max_workers=1, coalesce_window=0.0)
+    scheduler = RequestScheduler(proxy, max_workers=1)
     results = {}
 
     def submit(sid, record):
@@ -150,10 +186,41 @@ def test_backlog_coalesces_into_one_request_many_ecall():
     assert len(many) == 1 and len(many[0]) == 4
 
 
+def test_queued_records_cross_as_one_request_many_once_the_gate_opens():
+    gate = threading.Event()
+    proxy = FakeProxy(gate=gate)
+    with RequestScheduler(proxy, max_workers=1) as scheduler:
+        replies = cross_behind_a_held_worker(scheduler, proxy, gate,
+                                             ("a", "b", "c"))
+    assert replies == {sid: b"reply:" + sid.encode()
+                       for sid in ("head", "a", "b", "c")}
+    assert proxy.calls == [
+        ("request", (("head", b"head"),)),
+        ("request_many", (("a", b"a"), ("b", b"b"), ("c", b"c"))),
+    ]
+
+
+def test_collect_never_waits_with_a_timeout(monkeypatch):
+    """A worker that finds a backlog crosses at once: the only wait in
+    the scheduler is for work to exist, never a timed linger."""
+    gate = threading.Event()
+    proxy = FakeProxy(gate=gate)
+    with monkeypatch.context() as patch:
+        patch.setattr(threading, "Condition", RecordingCondition)
+        scheduler = RequestScheduler(proxy, max_workers=1)
+    with scheduler:
+        cross_behind_a_held_worker(scheduler, proxy, gate, ("a", "b", "c"))
+    condition = scheduler._queue_lock
+    assert isinstance(condition, RecordingCondition)
+    assert condition.timeouts           # the worker did wait for work
+    assert all(timeout is None for timeout in condition.timeouts)
+    assert len(records_of(proxy, "request_many")) == 1
+
+
 def test_per_record_failure_hits_only_the_failing_session():
     gate = threading.Event()
     proxy = FakeProxy(gate=gate, fail_sessions=("bad",))
-    scheduler = RequestScheduler(proxy, max_workers=1, coalesce_window=0.0)
+    scheduler = RequestScheduler(proxy, max_workers=1)
     outcomes = {}
 
     def submit(sid, record):
@@ -184,7 +251,7 @@ def test_per_record_failure_hits_only_the_failing_session():
 def test_preformed_batch_executes_alone_with_batch_semantics():
     gate = threading.Event()
     proxy = FakeProxy(gate=gate)
-    scheduler = RequestScheduler(proxy, max_workers=1, coalesce_window=0.0)
+    scheduler = RequestScheduler(proxy, max_workers=1)
     outcomes = {}
 
     def submit_single(sid):
@@ -221,7 +288,7 @@ def test_preformed_batch_executes_alone_with_batch_semantics():
 def test_per_session_fifo_keeps_submission_order():
     gate = threading.Event()
     proxy = FakeProxy(gate=gate)
-    scheduler = RequestScheduler(proxy, max_workers=4, coalesce_window=0.0)
+    scheduler = RequestScheduler(proxy, max_workers=4)
     order = []
     lock = threading.Lock()
 
@@ -295,8 +362,6 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         RequestScheduler(proxy, max_batch=0)
     with pytest.raises(ValueError):
-        RequestScheduler(proxy, coalesce_window=-1.0)
-    with pytest.raises(ValueError):
         RequestScheduler(proxy, queue_capacity=0)
 
 
@@ -329,6 +394,95 @@ def test_concurrent_deployment_serves_many_clients():
             thread.join(timeout=30.0)
         assert not errors
         assert len(results) == 6
+
+
+HOLD_QUERY = "hotel rome"
+POISON_QUERY = "cheap flights paris"
+POISON_SECRET = "secret plaintext cheap flights paris"
+
+
+@pytest.mark.parametrize("fanout", [1, 4])
+@pytest.mark.parametrize("stage", ["engine", "obfuscation"])
+def test_untyped_failure_fails_only_its_own_record(
+        small_engine, monkeypatch, stage, fanout):
+    """An untyped exception in one record's engine leg (or obfuscation)
+    becomes that record's scrubbed ``EnclaveError``; its batch-mates in
+    the same ``request_many`` ecall are served, and every channel stays
+    in step."""
+    entered, gate = threading.Event(), threading.Event()
+    complete_search = XSearchEnclaveCode._complete_search
+    obfuscate = XSearchEnclaveCode._obfuscate
+
+    def engine_leg(self, request, obfuscated):
+        if request.query == HOLD_QUERY and not gate.is_set():
+            entered.set()
+            assert gate.wait(timeout=5.0)
+        if stage == "engine" and request.query == POISON_QUERY:
+            raise RuntimeError(POISON_SECRET)
+        return complete_search(self, request, obfuscated)
+
+    def obfuscation(self, request):
+        if stage == "obfuscation" and request.query == POISON_QUERY:
+            raise RuntimeError(POISON_SECRET)
+        return obfuscate(self, request)
+
+    monkeypatch.setattr(XSearchEnclaveCode, "_complete_search", engine_leg)
+    monkeypatch.setattr(XSearchEnclaveCode, "_obfuscate", obfuscation)
+    proxy = XSearchProxyHost(small_engine, k=1, history_capacity=100,
+                             rng_seed=3, fanout=fanout)
+    queries = {"head": HOLD_QUERY, "s0": "diabetes symptoms",
+               "s1": POISON_QUERY, "s2": "nfl playoffs",
+               "s3": "mortgage rates"}
+    endpoints = {}
+    for sid in queries:
+        initiator = HandshakeInitiator()
+        proxy.begin_session(sid, initiator.hello())
+        endpoints[sid] = initiator.finish(proxy.channel_public())
+    outcomes = {}
+
+    def submit(sid, query):
+        record = endpoints[sid].encrypt(SearchRequest(query, 3).encode())
+        try:
+            outcomes[sid] = scheduler.request(sid, record)
+        except ReproError as exc:
+            outcomes[sid] = exc
+
+    def ecalls(name):
+        counts = proxy.enclave.boundary_snapshot().ecall_counts
+        return counts.get(name, 0)
+
+    with RequestScheduler(proxy, max_workers=1) as scheduler:
+        threads = [threading.Thread(target=submit,
+                                    args=("head", HOLD_QUERY))]
+        threads[0].start()
+        assert entered.wait(timeout=5.0)
+        before = ecalls("request_many")
+        for queued, sid in enumerate(("s0", "s1", "s2", "s3"), start=1):
+            threads.append(threading.Thread(target=submit,
+                                            args=(sid, queries[sid])))
+            threads[-1].start()
+            while len(scheduler._queue) < queued:
+                pass
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert ecalls("request_many") == before + 1
+
+        errors = [o for o in outcomes.values() if not isinstance(o, bytes)]
+        assert errors == [outcomes["s1"]]
+        assert isinstance(outcomes["s1"], EnclaveError)
+        assert "RuntimeError" in str(outcomes["s1"])
+        assert all(POISON_SECRET not in str(error)
+                   and POISON_SECRET not in repr(error) for error in errors)
+        for sid in ("head", "s0", "s2", "s3"):
+            SearchResponse.decode(endpoints[sid].decrypt(outcomes[sid]))
+
+        # Every session's channel is still in step with its client.
+        for sid, endpoint in endpoints.items():
+            record = endpoint.encrypt(SearchRequest("hotel paris", 3).encode())
+            reply = scheduler.request(sid, record)
+            assert SearchResponse.decode(endpoint.decrypt(reply)).results
+    proxy.close()
 
 
 def test_duplicate_record_ends_in_the_replay_error(small_engine):

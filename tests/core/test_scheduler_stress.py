@@ -14,7 +14,11 @@ invariant guards the privacy boundary of coalescing: identical
 plaintext queries from *different* users must still cross the enclave
 boundary as distinct records, in order.  A reply spliced into another
 user's session, or a record reordered within its own, fails AEAD, so
-no request may end in an authentication error.
+no request may end in an authentication error.  The second run adds
+an engine that raises an untyped ``RuntimeError`` the first time it
+sees each of some chosen queries: each failure must end exactly one
+request, as a typed error, and no batch-mate's channel may fall out of
+step.
 """
 
 from __future__ import annotations
@@ -31,13 +35,45 @@ from repro.faults.plan import (
     SITE_ENGINE_SEND,
 )
 from repro.obs import MetricsRegistry, NullRecorder
+from repro.search.engine import SearchEngine
 
 N_CLIENTS = 6
 REQUESTS_PER_CLIENT = 8
+SEED = 11
+#: Queries the exploding engine fails on once each (every client
+#: issues each).
+POISON = frozenset({"stress query step 2", "stress query step 5"})
 
 
-def test_stress_every_request_has_exactly_one_outcome():
-    plan = FaultPlan(seed=11)
+class ExplodingEngine:
+    """An engine with a bug: the first OR query carrying each of
+    ``poison`` (as the real query or as a fake) raises an untyped
+    ``RuntimeError`` that quotes the sub-query."""
+
+    def __init__(self, engine, poison):
+        self._engine = engine
+        self._armed = set(poison)
+        self._lock = threading.Lock()
+        self.explosions = 0
+
+    def search_or(self, subqueries, limit):
+        with self._lock:
+            hit = self._armed.intersection(subqueries)
+            self._armed -= hit
+            self.explosions += bool(hit)
+        if hit:
+            raise RuntimeError("engine bug on " + min(hit))
+        return self._engine.search_or(subqueries, limit)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+
+def run_stress(engine=None):
+    """Drive the faulted concurrent deployment; returns the outcome of
+    every request as ``(client, step, (kind, error type))`` and the
+    deployment's registry."""
+    plan = FaultPlan(seed=SEED)
     # Engine outage windows: two clusters of dropped sends, plus one
     # enclave crash mid-run (the broker heals and resubmits).
     plan.on(SITE_ENGINE_SEND, KIND_DROP, at=(5, 6, 7, 8, 21, 22, 23))
@@ -46,10 +82,10 @@ def test_stress_every_request_has_exactly_one_outcome():
     outcomes = []
     outcome_lock = threading.Lock()
 
-    config = DeploymentConfig(seed=11, k=2, max_workers=4, max_batch=4,
+    config = DeploymentConfig(seed=SEED, k=2, max_workers=4, max_batch=4,
                               proxy_options={"fault_plan": plan})
     with XSearchDeployment.create(
-        config=config,
+        config=config, engine=engine,
         recorder=NullRecorder(), registry=registry,
     ) as deployment:
         clients = [deployment.client(user_id=f"stress-{i}")
@@ -79,37 +115,62 @@ def test_stress_every_request_has_exactly_one_outcome():
             thread.join(timeout=120.0)
         assert all(not thread.is_alive() for thread in threads), \
             "a client thread hung: some request never resolved"
+    return outcomes, registry
 
-        # Exactly one outcome per submitted request.
-        assert len(outcomes) == N_CLIENTS * REQUESTS_PER_CLIENT
-        seen = {(index, j) for index, j, _ in outcomes}
-        assert len(seen) == N_CLIENTS * REQUESTS_PER_CLIENT
 
-        kinds = {}
-        for _, _, (kind, _) in outcomes:
-            kinds[kind] = kinds.get(kind, 0) + 1
-        # The fault plan guarantees the interesting mix actually
-        # happened: plenty of clean replies, and every injected fault
-        # either surfaced as a typed outcome (degraded reply / error)
-        # or was healed transparently (enclave crash -> re-attest and
-        # resubmit, which the heal counter records; since sessions that
-        # die with their enclave now heal instead of wedging, a fully
-        # clean outcome list is legitimate as long as heals happened).
-        heals = registry.get("broker.heals")
-        healed = heals.value if heals is not None else 0
-        assert kinds.get("reply", 0) > 0
-        assert (kinds.get("degraded", 0) + kinds.get("error", 0)
-                + healed) > 0
+def assert_exactly_one_outcome_and_no_aead_failure(outcomes):
+    assert len(outcomes) == N_CLIENTS * REQUESTS_PER_CLIENT
+    seen = {(index, j) for index, j, _ in outcomes}
+    assert len(seen) == N_CLIENTS * REQUESTS_PER_CLIENT
+    # Coalescing never splices or reorders crypto sessions, and a failed
+    # batch-mate never leaves a channel out of step: any of these would
+    # surface as a counter-nonce AEAD failure.
+    aead_failures = [
+        outcome for _, _, outcome in outcomes
+        if outcome in (("error", "AuthenticationError"),
+                       ("error", "CryptoError"))
+    ]
+    assert not aead_failures
 
-        # Coalescing never splices or reorders crypto sessions: either
-        # would surface as a counter-nonce AEAD failure.
-        aead_failures = [
-            outcome for _, _, outcome in outcomes
-            if outcome in (("error", "AuthenticationError"),
-                           ("error", "CryptoError"))
-        ]
-        assert not aead_failures
 
-        # The scheduler really was exercised concurrently.
-        batches = registry.get("scheduler.batches")
-        assert batches is not None and batches.value > 0
+def test_stress_every_request_has_exactly_one_outcome():
+    outcomes, registry = run_stress()
+    assert_exactly_one_outcome_and_no_aead_failure(outcomes)
+
+    kinds = {}
+    for _, _, (kind, _) in outcomes:
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # The fault plan guarantees the interesting mix actually
+    # happened: plenty of clean replies, and every injected fault
+    # either surfaced as a typed outcome (degraded reply / error)
+    # or was healed transparently (enclave crash -> re-attest and
+    # resubmit, which the heal counter records; since sessions that
+    # die with their enclave now heal instead of wedging, a fully
+    # clean outcome list is legitimate as long as heals happened).
+    heals = registry.get("broker.heals")
+    healed = heals.value if heals is not None else 0
+    assert kinds.get("reply", 0) > 0
+    assert (kinds.get("degraded", 0) + kinds.get("error", 0)
+            + healed) > 0
+
+    # The scheduler really was exercised concurrently.
+    batches = registry.get("scheduler.batches")
+    assert batches is not None and batches.value > 0
+
+
+def test_stress_untyped_engine_failures_stay_isolated():
+    engine = ExplodingEngine(SearchEngine.with_synthetic_corpus(seed=SEED),
+                             POISON)
+    outcomes, registry = run_stress(engine)
+    assert_exactly_one_outcome_and_no_aead_failure(outcomes)
+
+    # Every poisoned query was served, and each untyped failure ended
+    # exactly one request, as the scrubbed EnclaveError: no batch-mate
+    # that shared its ecall failed with it.
+    assert engine.explosions == len(POISON)
+    untyped = [outcome for _, _, outcome in outcomes
+               if outcome == ("error", "EnclaveError")]
+    assert len(untyped) == engine.explosions
+    assert any(kind == "reply" for _, _, (kind, _) in outcomes)
+    batches = registry.get("scheduler.batches")
+    assert batches is not None and batches.value > 0
