@@ -109,7 +109,7 @@ def test_batching_amortises_the_ecall(benchmark, engine):
     run_batch(batch_of(ROUNDS, "amortised"))
     delta = proxy.enclave.boundary_snapshot() - before
     assert delta.ecalls == 1
-    assert delta.ecall_counts == {"request_batch": 1}
+    assert delta.ecall_counts == {"request_many": 1}
 
     before = proxy.enclave.boundary_snapshot()
     for i in range(ROUNDS):

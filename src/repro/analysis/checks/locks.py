@@ -25,7 +25,8 @@ from repro.analysis.lint import Checker, register_checker
 LOCK_MAP = {
     "repro.core.cluster": {
         "SessionRouter": {
-            "_ring_lock": ("_ring", "_pins", "_displaced", "_replicas"),
+            "_ring_lock": ("_ring", "_pins", "_displaced", "_replicas",
+                           "_replayed"),
             "_health_lock": ("_states", "_losses"),
         },
     },

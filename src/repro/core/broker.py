@@ -256,10 +256,11 @@ class Broker:
                      retry_policy: RetryPolicy = None) -> list:
         """Execute several searches in one batched proxy round trip.
 
-        All records ride a single ``request_batch`` ecall, so the enclave
+        All records ride a single ``request_many`` ecall, so the enclave
         transition cost is amortised over the batch (the proxy's hot-path
         optimisation); each query is still individually encrypted and
-        individually obfuscated inside the enclave.  Returns one result
+        individually obfuscated inside the enclave.  The batch names one
+        session, so it succeeds or fails as one unit.  Returns one result
         list per query, in order.  An empty batch returns ``[]`` without
         touching the proxy at all.
         """

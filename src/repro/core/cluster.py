@@ -219,10 +219,6 @@ class _SessionChannel:
         return self._router._dispatch(self._session_id, "request_batch",
                                       batch)
 
-    def request_many(self, batch) -> tuple:
-        return self._router._dispatch(self._session_id, "request_many",
-                                      batch)
-
     def __getattr__(self, name):
         # Read-only passthrough (perf_stats, history_checkpoint, …) to
         # the pinned replica's frontend.
@@ -263,6 +259,7 @@ class SessionRouter:
         self._replicas = {}   # replica_id -> ReplicaHandle (dead kept)
         self._pins = {}       # session_id -> replica_id
         self._displaced = set()  # sessions re-pinned by a failover
+        self._replayed = {}   # replica_id -> checkpoint blob replayed
         self._states = {}     # replica_id -> STATE_*
         self._losses = {}     # replica_id -> consecutive typed losses
         self.failovers = 0
@@ -456,58 +453,9 @@ class SessionRouter:
         replica serves it — they all share one measurement."""
         return self._dispatch_replica(self.primary, "attestation_evidence")
 
-    def request(self, session_id: str, record: bytes) -> bytes:
-        return self._dispatch(session_id, "request", session_id, record)
-
     def begin_session(self, session_id: str, client_hello: bytes) -> None:
         return self._dispatch(session_id, "begin_session",
                               session_id, client_hello)
-
-    def request_batch(self, batch) -> tuple:
-        """Relay a mixed-session batch, split by pinned replica; the
-        reply order matches the submission order."""
-        batch = list(batch)
-        if not batch:
-            return ()
-        groups = self._group_by_replica(batch)
-        replies = [None] * len(batch)
-        for replica_id in sorted(groups):
-            positions = groups[replica_id]
-            sub = self._dispatch_replica(
-                self.replica(replica_id), "request_batch",
-                [batch[position] for position in positions],
-            )
-            for position, reply in zip(positions, sub):
-                replies[position] = reply
-        return tuple(replies)
-
-    def request_many(self, batch) -> tuple:
-        """Like :meth:`request_batch` but with per-record isolation:
-        a replica lost mid-call fails only its own group's records."""
-        batch = list(batch)
-        if not batch:
-            return ()
-        groups = self._group_by_replica(batch)
-        entries = [None] * len(batch)
-        for replica_id in sorted(groups):
-            positions = groups[replica_id]
-            try:
-                sub = self._dispatch_replica(
-                    self.replica(replica_id), "request_many",
-                    [batch[position] for position in positions],
-                )
-            except EnclaveLostError as exc:
-                sub = [("err", exc) for _ in positions]
-            for position, entry in zip(positions, sub):
-                entries[position] = entry
-        return tuple(entries)
-
-    def _group_by_replica(self, batch) -> dict:
-        groups = {}
-        for position, (session_id, _record) in enumerate(batch):
-            replica = self._resolve_for_dispatch(session_id, "request")
-            groups.setdefault(replica.replica_id, []).append(position)
-        return groups
 
     # ------------------------------------------------------------------
     # Health and failover
@@ -533,20 +481,28 @@ class SessionRouter:
     def failover(self, replica_id: str) -> int:
         """Retire a replica: mark it dead, pull it off the ring, re-pin
         its sessions to survivors and replay its last sealed checkpoint
-        into them.  Idempotent; returns the number of sessions moved."""
+        into them.  Idempotent; returns the number of sessions moved.
+
+        A call on a replica already retired moves nothing, but replays
+        a checkpoint published since the last replay: a client's
+        failover can race :meth:`XSearchCluster.kill_replica` and replay
+        before the kill's final checkpoint exists."""
         hooks.step("cluster.failover", replica=replica_id)
         with self._ring_lock:
             handle = self._replicas.get(replica_id)
             if handle is None:
                 raise ValueError(f"unknown replica {replica_id!r}")
             with self._health_lock:
-                if self._states.get(replica_id) == STATE_DEAD:
-                    return 0
+                retired = self._states.get(replica_id) == STATE_DEAD
                 self._states[replica_id] = STATE_DEAD
-            if replica_id in self._ring:
-                self._ring.remove(replica_id)
-            moved = self._repin_locked(replica_id)
-            survivors = len(self._ring)
+            if not retired:
+                if replica_id in self._ring:
+                    self._ring.remove(replica_id)
+                moved = self._repin_locked(replica_id)
+                survivors = len(self._ring)
+        if retired:
+            self._replay_checkpoint(handle)
+            return 0
         self.failovers += 1
         event(self._recorder, "cluster.failover", replica=replica_id,
               sessions_moved=moved, survivors=survivors)
@@ -580,17 +536,19 @@ class SessionRouter:
         blob is opaque to this host-side code: only an enclave with the
         shared measurement on the shared platform can open it."""
         blob = handle.proxy.history_checkpoint
-        if blob is None:
-            return
+        with self._ring_lock:
+            if blob is None or self._replayed.get(handle.replica_id) is blob:
+                return
+            self._replayed[handle.replica_id] = blob
         for survivor in self.healthy_replicas():
             try:
                 entries = survivor.proxy.absorb_history(blob)
             except ReproError:
                 continue  # best-effort warm-up; the survivor serves cold
             # The sealed-convergence oracle keys on these step events:
-            # every survivor recorded at kill time must absorb.
+            # a killed replica's checkpoint must reach some survivor.
             hooks.step("cluster.absorb", replica=survivor.replica_id,
-                       entries=entries)
+                       source=handle.replica_id, entries=entries)
             event(self._recorder, "cluster.checkpoint_replay",
                   source=handle.replica_id,
                   replica=survivor.replica_id, entries=entries)

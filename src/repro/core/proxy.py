@@ -1,11 +1,16 @@
 """The X-Search proxy: trusted enclave code and its untrusted host.
 
 :class:`XSearchEnclaveCode` is the code whose measurement clients attest.
-It exposes the ecall interface of the paper (§5.3.3): ``init`` for setup,
-``request`` for provisioning encrypted data into the enclave, plus a
-``request_batch`` ecall that carries N records through one enclave
-transition; it reaches the search engine exclusively through the
-``sock_connect`` / ``send`` / ``recv`` / ``close`` ocalls.
+It exposes the ecall interface of the paper (§5.3.3): ``init`` for setup
+and one data-path ecall, ``request_many``, for provisioning encrypted
+records into the enclave.  The paper's ``request`` is a batch of one:
+every record crosses through ``request_many``, which carries N
+``(session_id, record)`` pairs through one enclave transition and
+answers each with ``("ok", reply)`` or ``("err", error)``.  The session
+is the unit of failure: a failed record fails every record of its
+session in that call and seals none of their replies, and never affects
+another session.  The enclave reaches the search engine exclusively
+through the ``sock_connect`` / ``send`` / ``recv`` / ``close`` ocalls.
 
 Per request (Figure 2): decrypt the query inside the enclave → obfuscate
 with k random past queries (Algorithm 1) → store the query in the history
@@ -129,6 +134,14 @@ def _record_error(exc: Exception) -> ReproError:
     )
 
 
+def _unwrap(entries) -> tuple:
+    """The replies of ``request_many`` entries, or the first error."""
+    for status, item in entries:
+        if status == "err":
+            raise item
+    return tuple(item for _status, item in entries)
+
+
 class _EngineConnection:
     """A persistent enclave→engine connection (socket fd + TLS channel).
 
@@ -144,6 +157,21 @@ class _EngineConnection:
         self.tls = tls
         self.buffer = bytearray()
         self.frames = deque()
+
+
+class _Staged:
+    """One search or ingest record on its way through ``request_many``:
+    the session's channel endpoint, the decoded search and its
+    obfuscation (``None`` for an ingest), and the encoded reply."""
+
+    __slots__ = ("endpoint", "request", "obfuscated", "reply")
+
+    def __init__(self, endpoint, request=None, obfuscated=None,
+                 reply=None):
+        self.endpoint = endpoint
+        self.request = request
+        self.obfuscated = obfuscated
+        self.reply = reply
 
 
 class XSearchEnclaveCode:
@@ -334,163 +362,94 @@ class XSearchEnclaveCode:
         return endpoint.confirmation(session_id.encode("utf-8"))
 
     # ------------------------------------------------------------------
-    # ecall: request(sock, buff, len)
+    # ecall: request_many — the paper's request(sock, buff, len), batched
     # ------------------------------------------------------------------
     @ecall
-    def request(self, session_id: str, record: bytes) -> bytes:
-        """Provision encrypted data into the enclave and serve it."""
-        self._require_configured()
-        return self._handle_record(session_id, record)
+    def request_many(self, batch) -> tuple:
+        """Provision N encrypted records into the enclave and serve them
+        in one transition; the paper's ``request`` is a batch of one.
 
-    @ecall
-    def request_batch(self, batch) -> tuple:
-        """Serve N client records in a single enclave transition.
+        ``batch`` is a sequence of ``(session_id, record)`` pairs, each
+        record opaque AEAD ciphertext until opened here.  Returns one
+        ``("ok", reply)`` or ``("err", error)`` entry per record, in
+        order.
 
-        ``batch`` is a sequence of ``(session_id, record)`` pairs — the
-        records stay opaque AEAD ciphertext, so batching changes only the
-        *transition* accounting: one metered ecall is amortised over the
-        whole batch instead of being paid per record (§5.3.3 names mode
-        transitions as SGX bottleneck #1).  Replies are returned in order.
-        A malformed record fails the whole batch, exactly as the same
-        record would fail its own ``request`` ecall.
+        The session is the unit of failure: if any record of a session
+        fails, every record of that session in this call gets the
+        session's first error and none of its replies is sealed; other
+        sessions are never affected.  Channel counters stay in step
+        either way.  Every record is opened, even after its session
+        failed, so receive counters advance past the whole batch the
+        client sealed; a failed session seals no reply, so its send
+        counter does not move.  An untyped exception becomes the
+        record's :class:`EnclaveError`, naming only its type.
 
-        Unit failure is *counter-transactional*: every record is
-        decrypted up front (receive counters advance past the whole
-        batch, matching the client that encrypted it all), and replies
-        are encrypted only once every record has been served (a failed
-        batch consumes no send counters).  Either way both sides of
-        each session agree on the counters afterwards, so the session
-        survives a failed batch.
+        One pipeline serves every call.  Each record is staged in batch
+        order: open, decode, then ingest or obfuscate (the steps that
+        touch channel counters, the history and the shared enclave
+        RNG).  The engine legs then run inline when there is at most one
+        or ``fanout == 1``, otherwise across the fanout pool.  Finally
+        the replies are sealed in batch order.
         """
         self._require_configured()
         batch = list(batch)
-        if self._fanout > 1 and len(batch) > 1:
-            return self._serve_batch_fanned(batch, isolate=False)
-        opened = [
-            self._open_record(session_id, record)
-            for session_id, record in batch
-        ]
-        responses = [
-            self._serve_message(message) for _endpoint, message in opened
-        ]
+        errors = {}                         # session id -> first error
+        staged = []
+        for session_id, record in batch:
+            try:
+                staged.append(
+                    self._stage(session_id, record, session_id in errors))
+            except Exception as exc:  # xlint: disable=taxonomy
+                errors.setdefault(session_id, _record_error(exc))
+                staged.append(None)
+        legs = [index for index, entry in enumerate(staged)
+                if batch[index][0] not in errors
+                and entry.request is not None]
+        pool = self._fanout_pool if len(legs) > 1 else None
+        futures = {} if pool is None else {
+            index: pool.submit(self._engine_leg, staged[index])
+            for index in legs
+        }
+        for index in legs:
+            session_id = batch[index][0]
+            future = futures.get(index)
+            if future is None and session_id in errors:
+                continue        # its session failed: no reply is sealed
+            try:
+                staged[index].reply = (self._engine_leg(staged[index])
+                                       if future is None
+                                       else future.result())
+            except Exception as exc:  # xlint: disable=taxonomy
+                errors.setdefault(session_id, _record_error(exc))
         return tuple(
-            endpoint.encrypt(response.encode())
-            for (endpoint, _message), response in zip(opened, responses)
+            ("err", errors[session_id]) if session_id in errors
+            else ("ok", entry.endpoint.encrypt(entry.reply))
+            for (session_id, _record), entry in zip(batch, staged)
         )
 
-    @ecall
-    def request_many(self, batch) -> tuple:
-        """Serve N records in one transition with per-record isolation.
+    def _stage(self, session_id: str, record: bytes, failed: bool):
+        """Open one record and run its order-sensitive steps.
 
-        The request scheduler's coalescer folds *independent* requests —
-        usually from different users' crypto sessions — into one ecall;
-        unlike :meth:`request_batch` (a pre-formed batch that succeeds or
-        fails as a unit), one record's typed failure here must not
-        poison its batch-mates.  Returns one ``("ok", reply)`` or
-        ``("err", error)`` pair per record, in order.
-
-        Channel counters survive isolated failures: a decrypt failure
-        never advances the session's receive counter, and a post-decrypt
-        failure (engine unreachable, protocol error) advances both
-        sides symmetrically — so a victim of a transient fault can
-        simply resubmit on the same session.  An untyped exception is
-        isolated the same way, as an :class:`EnclaveError` naming only
-        its type, and serving carries on with the next record.
+        A record of a session that already failed in this call is only
+        opened, to advance the receive counter, and returns ``None``.
         """
-        self._require_configured()
-        batch = list(batch)
-        if self._fanout > 1 and len(batch) > 1:
-            return self._serve_batch_fanned(batch, isolate=True)
-        entries = []
-        for session_id, record in batch:
-            try:
-                entries.append(("ok", self._handle_record(session_id,
-                                                          record)))
-            except Exception as exc:  # xlint: disable=taxonomy
-                entries.append(("err", _record_error(exc)))
-        return tuple(entries)
-
-    def _handle_record(self, session_id: str, record: bytes) -> bytes:
-        endpoint, message = self._open_record(session_id, record)
-        return endpoint.encrypt(self._serve_message(message).encode())
-
-    def _open_record(self, session_id: str, record: bytes):
-        """Decrypt and decode one record on its session's channel."""
         endpoint = self._session(session_id)
         plaintext = endpoint.decrypt(record)
-        return endpoint, decode_any_request(plaintext)
-
-    def _serve_message(self, message):
+        if failed:
+            return None
+        message = decode_any_request(plaintext)
+        if isinstance(message, SearchRequest):
+            return _Staged(endpoint, message, self._obfuscate(message))
         if isinstance(message, IngestRequest):
             self._history.extend(message.queries)
-            return Ack(len(message.queries))
-        if isinstance(message, SearchRequest):
-            return self._serve_search(message)
+            return _Staged(endpoint,
+                           reply=Ack(len(message.queries)).encode())
         raise ProtocolError("unhandled message type")  # pragma: no cover
 
-    def _serve_batch_fanned(self, batch, *, isolate: bool) -> tuple:
-        """The parallel batch pipeline (``fanout > 1``).
-
-        Every order-sensitive step stays serial and in batch order —
-        channel decrypt/encrypt (counter nonces), history writes and
-        obfuscation (the shared enclave RNG) — and only the engine leg,
-        which is dominated by ocall round-trips, fans out across the
-        pooled connections.
-        """
-        staged = []   # per record: [endpoint, request, obfuscated,
-                      #              error, ready_response]
-        for session_id, record in batch:
-            try:
-                endpoint, message = self._open_record(session_id, record)
-                if isinstance(message, SearchRequest):
-                    staged.append([endpoint, message,
-                                   self._obfuscate(message), None, None])
-                elif isinstance(message, IngestRequest):
-                    self._history.extend(message.queries)
-                    staged.append([endpoint, None, None, None,
-                                   Ack(len(message.queries))])
-                else:
-                    raise ProtocolError(
-                        "unhandled message type"
-                    )  # pragma: no cover
-            except Exception as exc:
-                if not isolate:
-                    raise
-                staged.append([None, None, None, _record_error(exc), None])
-        futures = {
-            index: self._fanout_pool.submit(
-                self._complete_search, entry[1], entry[2]
-            )
-            for index, entry in enumerate(staged)
-            if entry[2] is not None
-        }
-        resolved = []
-        first_error = None
-        for index, entry in enumerate(staged):
-            endpoint, _request, _obfuscated, error, response = entry
-            future = futures.get(index)
-            if future is not None:
-                try:
-                    response = future.result()
-                    error = None
-                except Exception as exc:  # xlint: disable=taxonomy
-                    error = _record_error(exc)
-            resolved.append((endpoint, error, response))
-            if error is not None and not isolate and first_error is None:
-                first_error = error
-        if first_error is not None:
-            # Whole-batch mode: raise before any reply is encrypted, so
-            # a failed batch consumes no send counters and the sessions'
-            # channels stay aligned with their clients.
-            raise first_error
-        entries = []
-        for endpoint, error, response in resolved:
-            if error is not None:
-                entries.append(("err", error))
-                continue
-            reply = endpoint.encrypt(response.encode())
-            entries.append(("ok", reply) if isolate else reply)
-        return tuple(entries)
+    def _engine_leg(self, staged: _Staged) -> bytes:
+        """One search's engine and filtering leg, encoded (thread-safe)."""
+        return self._complete_search(staged.request,
+                                     staged.obfuscated).encode()
 
     @ecall
     def perf_stats(self) -> dict:
@@ -649,9 +608,6 @@ class XSearchEnclaveCode:
     # ------------------------------------------------------------------
     # Trusted request pipeline
     # ------------------------------------------------------------------
-    def _serve_search(self, request: SearchRequest) -> SearchResponse:
-        return self._complete_search(request, self._obfuscate(request))
-
     def _obfuscate(self, request: SearchRequest):
         """Algorithm 1: plaintext query → k+1 aggregated queries.
 
@@ -795,6 +751,11 @@ class XSearchEnclaveCode:
                 self._dispose_connection(connection)
                 last_error = exc
                 continue
+            except Exception:
+                # Anything else (a tampered TLS frame, a buggy engine)
+                # fails the exchange, but the descriptor is closed first.
+                self._dispose_connection(connection)
+                raise
             self._checkin_connection(connection)
             return result
         raise last_error
@@ -1006,7 +967,10 @@ class XSearchProxyHost:
         self._checkpoint_lock = threading.Lock()
         self._requests_since_checkpoint = 0
         self._history_checkpoint = None
-        self._enclave_lock = threading.RLock()
+        # Held across a respawn, whose history restore has simulation
+        # step points: under the simulation a waiter must yield, not
+        # block natively.
+        self._enclave_lock = hooks.SimAwareLock("proxy.enclave")
         self._closed = False
         # Sessions the host has relayed handshakes for.  When the
         # enclave dies, its session keys die with it: every live session
@@ -1235,61 +1199,31 @@ class XSearchProxyHost:
             self._displaced_session_ids.discard(session_id)
         return confirmation
 
-    def _check_displaced(self, session_id: str) -> None:
-        with self._enclave_lock:
-            displaced = session_id in self._displaced_session_ids
-        if displaced:
-            raise EnclaveLostError(
-                f"session {session_id!r} died with its enclave; "
-                f"re-attest to establish a new one"
-            )
-
     def request(self, session_id: str, record: bytes) -> bytes:
-        self._check_displaced(session_id)
-        if self._registry is not None:
-            self._registry.counter("proxy.requests").inc()
-            self._registry.histogram(
-                "proxy.request.record_bytes"
-            ).record(len(record))
-        reply = self._call("request", session_id, record)
-        self._after_requests(1)
-        return reply
+        """Relay one opaque record: a batch of one."""
+        return _unwrap(self.request_many([(session_id, record)]))[0]
 
     def request_batch(self, batch) -> tuple:
+        """Relay a ready-made batch and return its replies in order, or
+        raise the first record's error.  One session's batch fails as
+        one: a failed batch seals no reply, so its channel stays in
+        step with the client."""
+        return _unwrap(self.request_many(batch))
+
+    def request_many(self, batch) -> tuple:
         """Relay N opaque ``(session_id, record)`` pairs in one ecall.
 
         The host cannot open the records; batching only changes how many
-        enclave transitions the traffic costs.  An empty batch returns an
-        empty tuple without entering the enclave at all — no transition
-        is paid for no work."""
+        enclave transitions the traffic costs.  Returns one
+        ``("ok", reply)`` or ``("err", typed_error)`` entry per record
+        (see :meth:`XSearchEnclaveCode.request_many`: the session is the
+        unit of failure).  A record whose session died with a previous
+        enclave fails alone with :class:`EnclaveLostError`; the rest of
+        the batch is still served.  An empty batch returns an empty
+        tuple without entering the enclave at all."""
         batch = list(batch)
         if not batch:
             return ()
-        for session_id, _record in batch:
-            self._check_displaced(session_id)
-        if self._registry is not None:
-            self._registry.counter("proxy.requests").inc(len(batch))
-            self._registry.histogram(
-                "proxy.request.batch_size"
-            ).record(len(batch))
-        replies = self._call("request_batch", batch)
-        self._after_requests(len(batch))
-        return replies
-
-    def request_many(self, batch) -> tuple:
-        """Relay N opaque records in one ecall, isolating failures.
-
-        The scheduler's coalescing path: unlike :meth:`request_batch`,
-        each record resolves independently — the return value is one
-        ``("ok", reply)`` or ``("err", typed_error)`` entry per record,
-        so one user's bad record cannot fail another user's request
-        that merely shared the transition."""
-        batch = list(batch)
-        if not batch:
-            return ()
-        # Per-record isolation extends to displaced sessions: a record
-        # whose session died with a previous enclave fails alone, the
-        # rest of the coalesced batch is still served.
         with self._enclave_lock:
             lost = {
                 index

@@ -16,31 +16,34 @@ is that front end for :class:`~repro.core.proxy.XSearchProxyHost`:
   (one metered enclave transition amortised over the whole batch).  A
   worker takes whatever is eligible the moment it is free, up to
   ``max_batch`` records, and crosses at once: it never waits for more
-  arrivals, so a lone request under light load is a plain ``request``
-  ecall with no added latency.  Batches grow only as fast as a backlog
+  arrivals, so a lone request under light load crosses as a batch of
+  one with no added latency.  Batches grow only as fast as a backlog
   does, so exactly when load is highest the per-request transition
   cost approaches ``1 / max_batch`` ecalls.
 
-Submissions are never deduplicated: distinct sessions may ride the same
-batch ecall, but as distinct records under their own channel keys,
-exactly as ``request_batch`` has always carried them.  A re-submitted
-identical record is just another record, and the channel's counter
-nonce rejects it with a typed replay error.
+Every crossing is one ``request_many`` call, the proxy's only request
+ecall, and the session is its unit of failure: a failed record fails
+every record of its session in that call, never another session's.  A
+ticket is one session's unit of work (a single record, or a ready-made
+batch from ``request_batch``), so the scheduler never puts two tickets
+of one session in one crossing: a ticket's outcome depends only on its
+own records.  A ready-made batch shares its crossing with other
+sessions' records, up to ``max_batch``, and still fails as one unit.
+Submissions are never deduplicated: a re-submitted identical record is
+just another record, and the channel's counter nonce rejects it with a
+typed replay error.
 
 Ordering is the correctness keel: channel nonces are strictly
 increasing counters per direction, so records of one session must reach
 the enclave in submission order.  The collector therefore preserves
-per-session FIFO — a session with records already in flight on another
-worker is skipped until that batch completes (``_active_sessions``),
-and records of one session within a batch keep queue order.  Failure
-isolation matches the merge: coalesced singles travel through the
-``request_many`` ecall, whose per-record ``("ok", reply)`` /
-``("err", typed_error)`` entries mean one user's bad record fails only
-that user's ticket.  A *pre-formed* batch (the proxy's all-or-nothing
-``request_batch`` contract) always executes alone and fails as one
-unit; brokers heal ``EnclaveLostError`` exactly as on the direct path.
-An untyped exception from the proxy resolves the batch's tickets with
-an :class:`~repro.errors.EnclaveError` naming only the exception type,
+per-session FIFO — a session with a ticket in flight on another worker,
+or already in the batch being formed, is skipped until that batch
+completes (``_active_sessions``), and a skipped ticket's sessions
+shadow every later ticket.  Each ticket resolves from its own
+``("ok", reply)`` / ``("err", typed_error)`` entries; brokers heal
+``EnclaveLostError`` exactly as on the direct path.  An untyped
+exception from the proxy resolves the batch's tickets with an
+:class:`~repro.errors.EnclaveError` naming only the exception type,
 and the worker carries on.
 
 The scheduler is deliberately dumb about payloads: it holds ciphertext
@@ -65,7 +68,7 @@ DEFAULT_QUEUE_CAPACITY = 1024
 
 
 class _Ticket:
-    """One queued unit of work: a pre-encrypted record (or a pre-formed
+    """One queued unit of work: a pre-encrypted record (or a ready-made
     batch of records) plus the rendezvous the submitter waits on."""
 
     __slots__ = ("records", "sessions", "replies", "error", "event")
@@ -145,12 +148,12 @@ class RequestScheduler:
         return self._submit([(session_id, bytes(record))]).wait()[0]
 
     def request_batch(self, batch) -> tuple:
-        """Enqueue a pre-formed batch as one unit (all-or-nothing).
+        """Enqueue a ready-made batch as one ticket; blocks until its
+        replies are ready, or raises the first record's error.
 
-        The batch keeps the proxy contract: every record succeeds or the
-        whole call fails with one typed error.  It is never coalesced
-        with other queued work: it crosses alone, as one
-        ``request_batch`` ecall.
+        The batch may share a crossing with other sessions' records, but
+        it succeeds or fails as one unit: the enclave fails every record
+        of a session together and seals none of its replies.
         """
         records = [(session_id, bytes(record))
                    for session_id, record in batch]
@@ -246,36 +249,32 @@ class RequestScheduler:
     def _take_eligible_locked(self):
         """Move eligible tickets from the queue into a new batch.
 
-        A ticket is eligible when none of its sessions is riding another
-        worker's in-flight batch — per-session FIFO: one session is in
-        at most one batch at a time, and its records keep queue order.
-        Claimed sessions are marked active immediately so no other
+        A ticket is eligible when none of its sessions is riding an
+        in-flight batch or already has a ticket in the batch being
+        formed — per-session FIFO, and one session never has two tickets
+        in one crossing (a failed record fails its whole session there).
+        Claimed sessions are marked active immediately, so no other
         worker can take the same session out of order; sessions of
         tickets we skipped shadow everything behind them for the same
-        reason.  Multi-record tickets (all-or-nothing ``request_batch``
-        semantics) are never merged with other work.
+        reason.  A ticket that alone exceeds ``max_batch`` crosses
+        alone.
         """
-        batch, own_sessions, size = [], set(), 0
+        batch, size = [], 0
         kept = deque()
         shadowed = set()
         while self._queue:
             ticket = self._queue.popleft()
-            multi = len(ticket.records) > 1
-            blocked = any(
-                (sid in self._active_sessions and sid not in own_sessions)
-                or sid in shadowed
-                for sid in ticket.sessions
-            )
-            if blocked or (batch and (multi or size + len(ticket.records)
-                                      > self.max_batch)):
+            blocked = any(sid in self._active_sessions or sid in shadowed
+                          for sid in ticket.sessions)
+            if blocked or (batch and size + len(ticket.records)
+                           > self.max_batch):
                 kept.append(ticket)
                 shadowed |= ticket.sessions
                 continue
             batch.append(ticket)
             size += len(ticket.records)
-            own_sessions |= ticket.sessions
             self._active_sessions |= ticket.sessions
-            if multi or size >= self.max_batch:
+            if size >= self.max_batch:
                 break
         kept.extend(self._queue)
         self._queue = kept
@@ -299,14 +298,7 @@ class RequestScheduler:
             with span(recorder, "scheduler.batch",
                       placement=PLACEMENT_HOST,
                       batch_size=len(payload), tickets=len(batch)):
-                if len(batch) == 1 and len(payload) > 1:
-                    # Pre-formed batch: all-or-nothing, always alone.
-                    entries = [("ok", reply) for reply
-                               in self.proxy.request_batch(payload)]
-                elif len(payload) == 1:
-                    entries = [("ok", self.proxy.request(*payload[0]))]
-                else:
-                    entries = list(self.proxy.request_many(payload))
+                entries = list(self.proxy.request_many(payload))
         except ReproError as exc:
             # The whole transition failed (enclave lost, transport):
             # every ticket it carried gets the same typed error.

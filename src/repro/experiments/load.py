@@ -59,8 +59,8 @@ from repro.obs import (
 from repro.search.engine import SearchEngine
 from repro.sgx.runtime import DEFAULT_CLOCK_HZ
 
-#: The ecalls that carry client requests; the wall sweep counts these.
-REQUEST_ECALLS = frozenset({"request", "request_batch", "request_many"})
+#: The one ecall that carries client requests; the wall sweep counts it.
+REQUEST_ECALL = "request_many"
 
 #: Virtual mode: simulated engine service time per exchange (large
 #: enough to dominate Python-level jitter, small enough for a smoke
@@ -520,8 +520,7 @@ def _counters(deployment) -> tuple:
     """
     counts = deployment.proxy.enclave.boundary_snapshot().ecall_counts
     registry = deployment.registry
-    return (sum(count for name, count in counts.items()
-                if name in REQUEST_ECALLS),
+    return (counts.get(REQUEST_ECALL, 0),
             registry.counter("scheduler.batches").value,
             registry.counter("scheduler.submitted").value,
             registry.counter("server.sheds").value)

@@ -6,7 +6,7 @@ The constants below are calibrated to the saturation points the paper
 reports on an i7-6700 (§6.3) and are derived from each system's mechanics:
 
 * **X-Search** — on the pooled hot path a request costs one ecall
-  (amortised over a ``request_batch`` of records) plus two socket ocalls
+  (amortised over a ``request_many`` batch of records) plus two socket ocalls
   (``send`` + ``recv`` on a kept-alive engine connection); the
   per-request ``sock_connect``/``close`` pair and TLS handshake of the
   naive path are paid once per pooled connection, not per search.  That
@@ -39,13 +39,14 @@ from repro.sgx.runtime import (
 )
 
 # X-Search steady-state boundary crossings per request on the pooled
-# data path: the request ecall is amortised over a batch of records, and
-# a kept-alive engine connection needs only send + recv (connect/close
-# and the TLS handshake are per-connection, not per-request).  These are
+# data path: the one request ecall, ``request_many``, is amortised over
+# a batch of records, and a kept-alive engine connection needs only
+# send + recv (connect/close and the TLS handshake are per-connection,
+# not per-request).  These are
 # the counts the boundary micro-benchmark asserts via the CycleCounter
 # snapshot API.
 XSEARCH_POOLED_OCALLS_PER_REQUEST = 2   # send + recv, keep-alive socket
-XSEARCH_BATCH_RECORDS = 4               # records per request_batch ecall
+XSEARCH_BATCH_RECORDS = 4               # records per request_many ecall
 _XSEARCH_TRANSITION_SECONDS = (
     DEFAULT_ECALL_CYCLES / XSEARCH_BATCH_RECORDS
     + XSEARCH_POOLED_OCALLS_PER_REQUEST * DEFAULT_OCALL_CYCLES

@@ -225,6 +225,11 @@ class _Connection:
                     replies = [channel.request(session_id, record)]
                 else:
                     batch = wire.decode_search_batch(frame.payload)
+                    if len({session_id for session_id, _ in batch}) > 1:
+                        # Routing follows one session; a replica does not
+                        # know another replica's sessions.
+                        raise ProtocolError(
+                            "SEARCH_BATCH must name a single session")
                     channel = server._channel_for(batch[0][0])
                     replies = list(channel.request_batch(batch))
         finally:

@@ -24,7 +24,8 @@ frame               id   payload
 ``SESSION``         5    session id + raw handshake hello bytes
 ``SESSION_OK``      6    raw key-confirmation tag
 ``SEARCH``          7    session id + one sealed request record
-``SEARCH_BATCH``    8    count-prefixed list of (session id, record)
+``SEARCH_BATCH``    8    count-prefixed list of (session id, record);
+                         the server accepts one session per batch
 ``REPLY``           9    count-prefixed list of sealed reply records
 ``REPLY_DEGRADED``  10   as ``REPLY``; served while the server drains
 ``ERROR``           11   JSON ``{"error", "message", "retryable"}``

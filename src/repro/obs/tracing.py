@@ -4,7 +4,7 @@ Every request through the X-Search pipeline produces one *trace* — a
 tree of :class:`Span` objects mirroring the protocol path of Figure 2::
 
     broker.search                        (client domain)
-      └─ ecall.request                   (host → enclave transition)
+      └─ ecall.request_many              (host → enclave transition)
            ├─ enclave.obfuscation        (inside the TEE)
            ├─ enclave.engine             (inside the TEE)
            │    ├─ ocall.send            (enclave → host transition)

@@ -177,7 +177,7 @@ class SimWorld:
     #: (session_id, old_pin, new_pin, old_pin_state) at change time.
     pin_changes: list = field(default_factory=list)
     last_pins: dict = field(default_factory=dict)
-    #: One dict per kill: victim, blob?, survivors, absorb count.
+    #: One dict per kill: victim, blob?, survivors.
     kill_log: list = field(default_factory=list)
     #: replica_id -> history_integrity() report, post-run.
     integrity: dict = field(default_factory=dict)
@@ -299,23 +299,14 @@ def _run_chaos_action(world: SimWorld, action: str) -> None:
     if action == "kill" and len(healthy) > 1:
         victim = healthy[-1]
         handle = cluster.replica(victim)
-        before = sum(
-            1 for _task, site, _info in world.sim.events
-            if site == "cluster.absorb"
-        )
         try:
             cluster.kill_replica(victim)
         except ReproError:
             pass
-        absorbed = sum(
-            1 for _task, site, _info in world.sim.events
-            if site == "cluster.absorb"
-        ) - before
         world.kill_log.append({
             "victim": victim,
             "blob": handle.proxy.history_checkpoint is not None,
             "survivors": len(router.healthy_ids()),
-            "absorbed": absorbed,
         })
     elif action == "crash" and healthy:
         index = _replica_index(healthy[-1])

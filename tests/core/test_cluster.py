@@ -121,12 +121,12 @@ def test_requests_stay_on_the_pinned_replica():
                    for i, sid in enumerate(ids)]
         handles = {h.replica_id: h for h in deployment.cluster.replicas}
         before = {rid: h.proxy.enclave.boundary_snapshot().ecall_counts
-                  .get("request", 0) for rid, h in handles.items()}
+                  .get("request_many", 0) for rid, h in handles.items()}
         for client in clients:
             client.search("museum train", limit=2)
             client.search("river cruise", limit=2)
         after = {rid: h.proxy.enclave.boundary_snapshot().ecall_counts
-                 .get("request", 0) for rid, h in handles.items()}
+                 .get("request_many", 0) for rid, h in handles.items()}
         # Two sessions × two searches landed on each replica — and only
         # those: the boundary counters prove zero cross-replica traffic.
         assert after["replica-0"] - before["replica-0"] == 4
@@ -223,6 +223,27 @@ def test_kill_replica_is_idempotent_and_replays_the_checkpoint():
 
         # The survivor absorbed the victim's sealed checkpoint, so the
         # ingested queries obfuscate future traffic from day one.
+        entries_after = survivor.proxy.checkpoint_now()
+        assert entries_after >= entries_before + 2
+
+
+def test_a_kill_raced_by_a_failover_still_replays_its_final_checkpoint():
+    """A client's failover can retire the victim before the kill's final
+    checkpoint exists; the kill's own failover then replays it."""
+    config = DeploymentConfig(seed=11, k=2, replicas=2, connect=False)
+    with XSearchDeployment.create(config=config) as deployment:
+        members = [h.replica_id for h in deployment.cluster.replicas]
+        sid = _ids_on("replica-1", 1, members, prefix="race")[0]
+        client = deployment.client(user_id="race", session_id=sid)
+        client._broker.ingest(["venice hotels", "rome weather"])
+        survivor = deployment.cluster.replica("replica-0")
+        entries_before = survivor.proxy.checkpoint_now()
+        victim = deployment.cluster.replica("replica-1")
+        assert victim.proxy.history_checkpoint is None
+
+        deployment.cluster.router.failover("replica-1")
+        deployment.cluster.kill_replica("replica-1")
+
         entries_after = survivor.proxy.checkpoint_now()
         assert entries_after >= entries_before + 2
 

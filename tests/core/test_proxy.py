@@ -146,7 +146,7 @@ def test_ecall_records_are_ciphertext(proxy):
     proxy.request("sec2", record)
     ecall_payloads = [
         c.payload for c in proxy.enclave.boundary_log
-        if c.direction == "ecall" and c.name == "request"
+        if c.direction == "ecall" and c.name == "request_many"
     ]
     assert ecall_payloads
     for payload in ecall_payloads:

@@ -14,6 +14,7 @@ from repro.core.proxy import XSearchProxyHost
 from repro.crypto.channel import HandshakeInitiator
 from repro.crypto.https import CertificateAuthority
 from repro.crypto.rsa import RsaKeyPair
+from repro.errors import EnclaveError
 from repro.search.tracking import TrackingSearchEngine
 
 
@@ -150,3 +151,38 @@ def test_https_baseline_handshakes_per_request(small_engine, engine_pki):
     search(proxy, endpoint, "tls baseline one")
     search(proxy, endpoint, "tls baseline two")
     assert proxy.perf_stats()["tls_handshakes"] == 2
+
+
+class BuggyEngine:
+    """An engine that raises an untyped error while ``broken`` is set."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.broken = False
+
+    def search_or(self, subqueries, limit):
+        if self.broken:
+            raise RuntimeError("engine bug")
+        return self.engine.search_or(subqueries, limit)
+
+
+def test_untyped_exchange_failure_closes_its_connection(small_engine):
+    """An untyped exception inside an engine exchange fails the request
+    as a scrubbed EnclaveError, and its pooled connection is closed, not
+    left checked out with its host-side descriptor open."""
+    engine = BuggyEngine(small_engine)
+    proxy = XSearchProxyHost(engine, k=1, history_capacity=1000,
+                             rng_seed=21)
+    endpoint = connect(proxy)
+    search(proxy, endpoint, "warmup query")
+    assert proxy.gateway.open_connections() == 1
+    engine.broken = True
+    for i in range(3):
+        with pytest.raises(EnclaveError, match="RuntimeError"):
+            search(proxy, endpoint, f"buggy engine query {i}")
+    assert proxy.perf_stats()["pool_disposals"] == 3
+    assert proxy.gateway.open_connections() == 0
+    engine.broken = False
+    assert search(proxy, endpoint, "hotel rome").results
+    assert proxy.gateway.open_connections() == 1
+    proxy.close()

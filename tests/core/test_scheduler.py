@@ -47,26 +47,6 @@ class FakeProxy:
         if first and self.gate is not None:
             assert self.gate.wait(timeout=5.0)
 
-    def request(self, session_id, record):
-        with self._lock:
-            self.calls.append(("request", ((session_id, record),)))
-        self._maybe_wait()
-        if session_id in self.fail_sessions:
-            raise EngineUnavailableError(f"scripted failure: {session_id}")
-        return b"reply:" + record
-
-    def request_batch(self, batch):
-        batch = tuple(batch)
-        with self._lock:
-            self.calls.append(("request_batch", batch))
-        self._maybe_wait()
-        for session_id, _ in batch:
-            if session_id in self.fail_sessions:
-                raise EngineUnavailableError(
-                    f"scripted failure: {session_id}"
-                )
-        return tuple(b"reply:" + record for _, record in batch)
-
     def request_many(self, batch):
         batch = tuple(batch)
         with self._lock:
@@ -100,11 +80,11 @@ class ExplodingProxy(FakeProxy):
         super().__init__()
         self.exploded = False
 
-    def request(self, session_id, record):
+    def request_many(self, batch):
         if not self.exploded:
             self.exploded = True
             raise RuntimeError(self.SECRET)
-        return super().request(session_id, record)
+        return super().request_many(batch)
 
 
 class RecordingCondition(threading.Condition):
@@ -148,11 +128,12 @@ def cross_behind_a_held_worker(scheduler, proxy, gate, sessions):
 
 
 def test_light_load_is_a_plain_request_ecall():
+    """A lone request crosses at once, as a ``request_many`` of one."""
     proxy = FakeProxy()
     with RequestScheduler(proxy, max_workers=2) as scheduler:
         reply = scheduler.request("s1", b"r1")
     assert reply == b"reply:r1"
-    assert [name for name, _ in proxy.calls] == ["request"]
+    assert proxy.calls == [("request_many", (("s1", b"r1"),))]
 
 
 def test_backlog_coalesces_into_one_request_many_ecall():
@@ -183,7 +164,7 @@ def test_backlog_coalesces_into_one_request_many_ecall():
     assert all(results[f"s{i}"] == b"reply:record%d" % i
                for i in range(1, 5))
     many = records_of(proxy, "request_many")
-    assert len(many) == 1 and len(many[0]) == 4
+    assert [len(call) for call in many] == [1, 4]
 
 
 def test_queued_records_cross_as_one_request_many_once_the_gate_opens():
@@ -195,8 +176,23 @@ def test_queued_records_cross_as_one_request_many_once_the_gate_opens():
     assert replies == {sid: b"reply:" + sid.encode()
                        for sid in ("head", "a", "b", "c")}
     assert proxy.calls == [
-        ("request", (("head", b"head"),)),
+        ("request_many", (("head", b"head"),)),
         ("request_many", (("a", b"a"), ("b", b"b"), ("c", b"c"))),
+    ]
+
+
+def test_one_session_never_has_two_tickets_in_one_crossing():
+    """A failed record fails its whole session in a crossing, so a
+    session's second queued ticket waits for the next one; another
+    session's ticket behind it still joins the first."""
+    gate = threading.Event()
+    proxy = FakeProxy(gate=gate)
+    with RequestScheduler(proxy, max_workers=1) as scheduler:
+        cross_behind_a_held_worker(scheduler, proxy, gate, ("a", "a", "b"))
+    assert proxy.calls == [
+        ("request_many", (("head", b"head"),)),
+        ("request_many", (("a", b"a"), ("b", b"b"))),
+        ("request_many", (("a", b"a"),)),
     ]
 
 
@@ -214,7 +210,7 @@ def test_collect_never_waits_with_a_timeout(monkeypatch):
     assert isinstance(condition, RecordingCondition)
     assert condition.timeouts           # the worker did wait for work
     assert all(timeout is None for timeout in condition.timeouts)
-    assert len(records_of(proxy, "request_many")) == 1
+    assert [len(call) for call in records_of(proxy, "request_many")] == [1, 3]
 
 
 def test_per_record_failure_hits_only_the_failing_session():
@@ -246,43 +242,6 @@ def test_per_record_failure_hits_only_the_failing_session():
     assert outcomes["good-1"] == b"reply:x"
     assert outcomes["good-2"] == b"reply:x"
     assert isinstance(outcomes["bad"], EngineUnavailableError)
-
-
-def test_preformed_batch_executes_alone_with_batch_semantics():
-    gate = threading.Event()
-    proxy = FakeProxy(gate=gate)
-    scheduler = RequestScheduler(proxy, max_workers=1)
-    outcomes = {}
-
-    def submit_single(sid):
-        outcomes[sid] = scheduler.request(sid, b"solo")
-
-    def submit_batch():
-        outcomes["batch"] = scheduler.request_batch(
-            [("tenant", b"b1"), ("tenant", b"b2")]
-        )
-
-    head = threading.Thread(target=submit_single, args=("head",))
-    head.start()
-    while not proxy.calls:
-        pass
-    threads = [threading.Thread(target=submit_batch),
-               threading.Thread(target=submit_single, args=("other",))]
-    for thread in threads:
-        thread.start()
-    while len(scheduler._queue) < 2:
-        pass
-    gate.set()
-    for thread in [head] + threads:
-        thread.join(timeout=5.0)
-    scheduler.close()
-    assert outcomes["batch"] == (b"reply:b1", b"reply:b2")
-    assert outcomes["other"] == b"reply:solo"
-    # The pre-formed batch crossed in its own request_batch transition,
-    # never merged with the queued single.
-    batches = records_of(proxy, "request_batch")
-    assert len(batches) == 1
-    assert [record for _, record in batches[0]] == [b"b1", b"b2"]
 
 
 def test_per_session_fifo_keeps_submission_order():
@@ -482,6 +441,84 @@ def test_untyped_failure_fails_only_its_own_record(
             record = endpoint.encrypt(SearchRequest("hotel paris", 3).encode())
             reply = scheduler.request(sid, record)
             assert SearchResponse.decode(endpoint.decrypt(reply)).results
+    proxy.close()
+
+
+@pytest.mark.parametrize("fanout", [1, 4])
+def test_ready_made_batch_shares_a_crossing_and_fails_as_one(
+        small_engine, monkeypatch, fanout):
+    """A one-session batch of three with a failing engine leg shares one
+    ``request_many`` crossing with another session's single record: the
+    single is served, the batch fails as one unit with no reply sealed,
+    and the batch's session carries on."""
+    entered, gate = threading.Event(), threading.Event()
+    complete_search = XSearchEnclaveCode._complete_search
+
+    def engine_leg(self, request, obfuscated):
+        if request.query == HOLD_QUERY and not gate.is_set():
+            entered.set()
+            assert gate.wait(timeout=5.0)
+        if request.query == POISON_QUERY:
+            raise EngineUnavailableError("scripted engine failure")
+        return complete_search(self, request, obfuscated)
+
+    monkeypatch.setattr(XSearchEnclaveCode, "_complete_search", engine_leg)
+    proxy = XSearchProxyHost(small_engine, k=1, history_capacity=100,
+                             rng_seed=3, fanout=fanout)
+    endpoints = {}
+    for sid in ("head", "tenant", "other"):
+        initiator = HandshakeInitiator()
+        proxy.begin_session(sid, initiator.hello())
+        endpoints[sid] = initiator.finish(proxy.channel_public())
+
+    def sealed(sid, query):
+        return endpoints[sid].encrypt(SearchRequest(query, 3).encode())
+
+    batch = [("tenant", sealed("tenant", query)) for query in
+             ("diabetes symptoms", POISON_QUERY, "mortgage rates")]
+    calls = {
+        "head": lambda: scheduler.request("head",
+                                          sealed("head", HOLD_QUERY)),
+        "batch": lambda: scheduler.request_batch(batch),
+        "other": lambda: scheduler.request("other",
+                                           sealed("other", "nfl playoffs")),
+    }
+    outcomes = {}
+
+    def submit(name):
+        try:
+            outcomes[name] = calls[name]()
+        except ReproError as exc:
+            outcomes[name] = exc
+
+    def ecalls():
+        counts = proxy.enclave.boundary_snapshot().ecall_counts
+        return counts.get("request_many", 0)
+
+    with RequestScheduler(proxy, max_workers=1) as scheduler:
+        threads = [threading.Thread(target=submit, args=("head",))]
+        threads[0].start()
+        assert entered.wait(timeout=5.0)
+        before = ecalls()
+        for queued, name in enumerate(("batch", "other"), start=1):
+            threads.append(threading.Thread(target=submit, args=(name,)))
+            threads[-1].start()
+            while len(scheduler._queue) < queued:
+                pass
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert ecalls() == before + 1
+        assert isinstance(outcomes["batch"], EngineUnavailableError)
+        for sid in ("head", "other"):
+            SearchResponse.decode(endpoints[sid].decrypt(outcomes[sid]))
+
+        # All three records were opened and none of their replies was
+        # sealed: the tenant's channel is still in step.
+        reply = scheduler.request("tenant", sealed("tenant", "hotel paris"))
+        assert SearchResponse.decode(
+            endpoints["tenant"].decrypt(reply)).results
     proxy.close()
 
 

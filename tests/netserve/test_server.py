@@ -93,6 +93,39 @@ def test_server_only_frame_from_client_is_rejected(served):
         assert wire.read_frame(sock).ftype == wire.T_PONG
 
 
+def test_search_batch_naming_two_sessions_is_rejected(served):
+    """A SEARCH_BATCH must name one session: routing follows it, and a
+    replica does not know another replica's sessions.  The batch is
+    refused with a typed error before anything crosses."""
+    deployment, server = served
+    clients = [make_client(deployment, server, session_id=sid)
+               for sid in ("mixed-a", "mixed-b")]
+    for client in clients:
+        assert client.search("hotel rome", limit=3) is not None
+
+    def request_ecalls():
+        counts = deployment.proxy.enclave.boundary_snapshot().ecall_counts
+        return counts.get("request_many", 0)
+
+    before = request_ecalls()
+    with raw_connect(server) as sock:
+        sock.settimeout(5.0)
+        assert _hello(sock).ftype == wire.T_WELCOME
+        batch = [("mixed-a", b"\x00" * 40), ("mixed-b", b"\x01" * 40)]
+        sock.sendall(wire.encode_frame(
+            wire.T_SEARCH_BATCH, wire.encode_search_batch(batch)))
+        frame = wire.read_frame(sock)
+        assert frame.ftype == wire.T_ERROR
+        assert isinstance(wire.decode_error(frame.payload), ProtocolError)
+        # The connection survives the refusal.
+        sock.sendall(wire.encode_frame(wire.T_PING, b"x"))
+        assert wire.read_frame(sock).ftype == wire.T_PONG
+    assert request_ecalls() == before
+    for client in clients:
+        assert client.search("diabetes symptoms", limit=3) is not None
+        client.close()
+
+
 def test_malformed_framing_gets_error_then_goodbye(served):
     _deployment, server = served
     with raw_connect(server) as sock:

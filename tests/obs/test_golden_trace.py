@@ -131,7 +131,7 @@ def test_faulted_scenario_records_the_recovery_story():
             < event_names.index("broker.attested"))
     # The first ecall attempt died: its span is errored but balanced.
     failed = [s for s in healed.walk()
-              if s.name == "ecall.request" and s.status == "error"]
+              if s.name == "ecall.request_many" and s.status == "error"]
     assert failed and all(s.finished for s in failed)
     assert failed[0].error == "EnclaveLostError"
     assert healed.root.attributes["outcome"] == "reply"

@@ -11,7 +11,10 @@ Failures print the spec + digest, which is the reproduction recipe
 
 from __future__ import annotations
 
-from repro.sim import WorldSpec
+import threading
+
+from repro.core.cluster import SessionRouter
+from repro.sim import WorldSpec, run_sim
 from repro.sim.explore import explore
 from repro.sim.invariants import INVARIANTS
 
@@ -43,3 +46,46 @@ def test_every_oracle_is_wired():
         "sealed-convergence",
         "history-integrity",
     ])
+
+
+#: Worlds where a respawn, holding the proxy's enclave lock, yields at
+#: the history restore's step points while another client's request
+#: waits for that lock.  A natively blocking waiter hung the whole sweep.
+RESPAWN_UNDER_CONTENTION = (
+    WorldSpec(seed=31, interleaving=2,
+              chaos=("checkpoint", "add", "kill", "crash")),
+    WorldSpec(seed=178, interleaving=1,
+              chaos=("kill", "checkpoint", "crash", "pressure")),
+)
+
+
+def test_a_respawn_that_yields_under_the_enclave_lock_completes():
+    reports = []
+
+    def sweep():
+        reports.extend(run_sim(spec) for spec in RESPAWN_UNDER_CONTENTION)
+
+    worker = threading.Thread(target=sweep, daemon=True)
+    worker.start()
+    worker.join(timeout=120.0)
+    assert not worker.is_alive(), "a simulated world deadlocked"
+    assert [report.violations for report in reports] == [[], []]
+
+
+def test_sealed_convergence_counts_the_absorb_of_a_racing_failover():
+    """A client's failover retires the second kill's victim first and
+    replays its checkpoint after the chaos kill has returned: the
+    checkpoint still converged, so no violation."""
+    spec = WorldSpec(seed=280, interleaving=0,
+                     chaos=("pressure", "add", "kill", "kill"))
+    assert run_sim(spec).violations == []
+
+
+def test_sealed_convergence_catches_a_skipped_replay(monkeypatch):
+    monkeypatch.setattr(SessionRouter, "_replay_checkpoint",
+                        lambda self, handle: None)
+    spec = WorldSpec(seed=9, chaos=("kill", "checkpoint", "outage",
+                                    "advance"))
+    assert [violation.split(":")[0]
+            for violation in run_sim(spec).violations] == [
+        "sealed-convergence"]
