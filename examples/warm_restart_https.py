@@ -78,12 +78,13 @@ def main():
     print(f"\nGeneration 1: {len(results)} results over HTTPS; "
           f"history holds {len(proxy.enclave._instance._history)} queries")
 
-    blob = proxy.seal_history()
+    proxy.checkpoint_now()
+    blob = proxy.history_checkpoint
     print(f"History sealed: {len(blob)} opaque bytes handed to the host")
 
     # --- 'Restart': a fresh enclave, same code, same platform ---------
     proxy2 = build_proxy(engine, **common)
-    restored = proxy2.restore_history(blob)
+    restored = proxy2.absorb_history(blob)
     print(f"\nGeneration 2 (after restart): restored {restored} queries")
     broker2 = attested_broker(proxy2, attestation_service, "gen-2")
     broker2.search("diabetes symptoms", limit=10)
@@ -96,7 +97,7 @@ def main():
     proxy3 = build_proxy(engine, **{**common,
                                     "sealing_platform": foreign_platform})
     try:
-        proxy3.restore_history(blob)
+        proxy3.absorb_history(blob)
     except Exception as exc:
         print(f"\nRestore on a different physical platform: rejected\n"
               f"  ({exc})")

@@ -54,6 +54,7 @@ SOURCE_CALLS = {
     "hkdf": TAINT_KEY,
     "hkdf_expand": TAINT_KEY,
     "hkdf_extract": TAINT_KEY,
+    "open_snapshot": TAINT_PLAINTEXT,
     "shared_secret": TAINT_KEY,
     "snapshot_history": TAINT_PLAINTEXT,
     "unseal": TAINT_PLAINTEXT,

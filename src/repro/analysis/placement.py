@@ -130,8 +130,9 @@ ENCLAVE_ONLY_NAMES = frozenset({
     "ObfuscatedQuery",         # carries the real query among the fakes
     "ResultCache",             # in-enclave caches (EPC-metered)
     "snapshot_history",        # plaintext history serialisation
-    "restore_history",
     "decode_snapshot",         # parses the plaintext snapshot format
+    "seal_snapshot",           # seals the plaintext history
+    "open_snapshot",           # unseals into plaintext entries
 })
 
 #: Private attributes of the enclave object; reaching for them from

@@ -35,11 +35,7 @@ from repro.core.filtering import ScoredResult, filter_results, score_result
 from repro.core.gateway import EngineGateway
 from repro.core.history import QueryHistory
 from repro.core.obfuscation import ObfuscatedQuery, obfuscate_query
-from repro.core.persistence import (
-    SealedHistoryStore,
-    restore_history,
-    snapshot_history,
-)
+from repro.core.persistence import snapshot_history
 from repro.core.protocol import (
     Ack,
     IngestRequest,
@@ -91,9 +87,7 @@ __all__ = [
     "HashRing",
     "DEFAULT_VNODES",
     "DEFAULT_FAILOVER_THRESHOLD",
-    "SealedHistoryStore",
     "snapshot_history",
-    "restore_history",
     "DEFAULT_K",
     "DEFAULT_HISTORY_CAPACITY",
     "RetryPolicy",

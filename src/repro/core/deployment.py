@@ -61,7 +61,7 @@ class DeploymentConfig:
 
     ``proxy_options`` carries the :class:`XSearchProxyHost` passthroughs
     (``epc``, ``sealing_platform``, ``fault_plan``,
-    ``degraded_cache_bytes``, ``pool_connections``, …);
+    ``degraded_cache_bytes``, ``checkpoint_interval``, …);
     ``replica_fault_plans`` maps a replica *index* to its own
     :class:`~repro.faults.plan.FaultPlan`, so one replica can be killed
     deterministically while the others serve.

@@ -380,9 +380,9 @@ def split_http_response(raw, *, partial_ok: bool = False):
     keeps ``raw[consumed:]`` (the start of the next pipelined response)
     buffered for later.
 
-    Framing relies on ``Content-Length`` (our engine always sends it);
-    without the header the whole remainder is taken as the body, which is
-    only sound on a connection the peer closes afterwards.
+    Framing relies on ``Content-Length`` (our engine always sends it).
+    On a keep-alive stream a response without it has no end, so it is
+    rejected as garbage rather than taking the rest of the buffer.
 
     With ``partial_ok=True`` an incomplete response returns
     ``(None, b"", 0)`` instead of raising, so a reader pumping a socket
@@ -414,7 +414,7 @@ def split_http_response(raw, *, partial_ok: bool = False):
                 # ``consumed`` under-advances the keep-alive buffer).
                 raise NetworkError("negative Content-Length header")
     if content_length is None:
-        return status, rest, len(raw)
+        raise NetworkError("HTTP response without Content-Length")
     if len(rest) < content_length:
         if partial_ok:
             return None, b"", 0

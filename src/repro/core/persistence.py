@@ -5,12 +5,14 @@ restart (redeployment, host reboot, enclave teardown) loses the history
 and every client goes back through the cold-start window where obfuscated
 queries carry fewer, less diverse fakes.
 
-SGX's sealing facility is the natural fix, and this module implements it:
-the enclave serialises its history, seals it to its *own measurement* on
-the local platform and hands the opaque blob to the host for storage.
-After a restart, an enclave with the same measurement (and only such an
-enclave) can unseal and resume with a warm table.  A tampered blob, a
-different enclave build or a different physical platform all fail closed.
+SGX's sealing facility is the natural fix, and this module holds its one
+format: inside the enclave, :func:`seal_snapshot` serialises the history
+and seals it to the enclave's *own measurement* on the local platform
+(the proxy's ``checkpoint_history`` ecall hands the opaque blob to the
+host), and :func:`open_snapshot` unseals and parses it again
+(``absorb_sealed_history``).  Only an enclave with the same measurement
+can open the blob; a tampered blob, a different enclave build or a
+different physical platform all fail closed.
 
 The blob embeds the history capacity so a sealed snapshot cannot be
 replayed into an enclave configured with a different window size.
@@ -22,8 +24,6 @@ import json
 
 from repro.core.history import QueryHistory
 from repro.errors import SealingError
-from repro.sgx.measurement import Measurement
-from repro.sgx.sealing import SealingPlatform
 
 _FORMAT_VERSION = 1
 _AAD = b"repro.core.history-snapshot.v1"
@@ -43,9 +43,7 @@ def snapshot_history(history: QueryHistory) -> bytes:
 
 def decode_snapshot(blob: bytes) -> tuple:
     """Parse a snapshot into ``(capacity, entries)`` without building a
-    table.  The cluster's failover path uses this to *merge* a failed
-    replica's entries into a survivor's live history instead of
-    replacing it."""
+    table: the importer appends the entries to its live history."""
     try:
         doc = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -61,48 +59,13 @@ def decode_snapshot(blob: bytes) -> tuple:
     return capacity, entries
 
 
-def restore_history(blob: bytes, *, enclave_memory=None) -> QueryHistory:
-    """Rebuild a history table from a snapshot (inside the enclave)."""
-    capacity, entries = decode_snapshot(blob)
-    history = QueryHistory(capacity, enclave_memory=enclave_memory)
-    history.extend(entries)
-    return history
+def seal_snapshot(sealer, history: QueryHistory) -> bytes:
+    """Serialise and seal a history table (inside the enclave, with the
+    enclave's own :class:`~repro.sgx.sealing.EnclaveSealer`)."""
+    return sealer.seal(snapshot_history(history), aad=_AAD)
 
 
-class SealedHistoryStore:
-    """Host-side storage of sealed history snapshots.
-
-    The host only ever holds ciphertext; the seal/unseal operations are
-    keyed to the enclave measurement through the platform's sealing root.
-    """
-
-    def __init__(self, platform: SealingPlatform):
-        self._platform = platform
-        self._blobs = {}
-
-    def save(self, label: str, measurement: Measurement,
-             history: QueryHistory) -> bytes:
-        """Seal and store a snapshot under ``label``; returns the blob."""
-        sealed = self._platform.seal(
-            measurement, snapshot_history(history), aad=_AAD
-        )
-        self._blobs[label] = sealed
-        return sealed
-
-    def load(self, label: str, measurement: Measurement,
-             *, enclave_memory=None) -> QueryHistory:
-        """Unseal and restore; fails closed for the wrong identity."""
-        sealed = self._blobs.get(label)
-        if sealed is None:
-            raise SealingError(f"no sealed snapshot under label {label!r}")
-        blob = self._platform.unseal(measurement, sealed, aad=_AAD)
-        return restore_history(blob, enclave_memory=enclave_memory)
-
-    def stored_labels(self) -> list:
-        return sorted(self._blobs)
-
-    def raw_blob(self, label: str) -> bytes:
-        """What the (untrusted) host can see: opaque ciphertext."""
-        if label not in self._blobs:
-            raise SealingError(f"no sealed snapshot under label {label!r}")
-        return self._blobs[label]
+def open_snapshot(sealer, blob: bytes) -> tuple:
+    """Unseal and parse a sealed snapshot into ``(capacity, entries)``;
+    fails closed with :class:`~repro.errors.SealingError`."""
+    return decode_snapshot(sealer.unseal(blob, aad=_AAD))

@@ -17,13 +17,13 @@ with k random past queries (Algorithm 1) → store the query in the history
 → send one ``q1 OR … OR q_{k+1}`` query to the engine → filter the results
 (Algorithm 2) → strip analytics redirections → encrypt and return.
 
-Because mode transitions dominate the in-enclave compute, the engine leg
-is aggressively amortised: engine sockets (and, under HTTPS, established
-TLS channels) are pooled across requests with reconnect-on-failure, so
-steady state pays ``send`` + ``recv`` per search instead of the full
-connect/close sequence.  The pooling knob (``pool=…``) is part of the
-attested config string.  Engine pages are not cached: the OR-query
-carries freshly drawn fakes, so at k ≥ 1 it never repeats.
+Because mode transitions dominate the in-enclave compute, the enclave
+has one way to reach the engine: a pool of keep-alive sockets (and, under
+HTTPS, established TLS channels) reused across requests with
+reconnect-on-failure, so steady state pays ``send`` + ``recv`` per search
+instead of the paper's connect/send/recv/recv/close sequence.  Engine
+pages are not cached: the OR-query carries freshly drawn fakes, so at
+k ≥ 1 it never repeats.
 
 :class:`XSearchProxyHost` is the untrusted service wrapper running on the
 public cloud node: it loads the enclave, obtains attestation quotes from
@@ -42,8 +42,9 @@ Fault tolerance (the availability layer):
 * the host periodically checkpoints the history as a sealed blob
   (``checkpoint_history``) and, when the enclave is lost mid-flight
   (:class:`~repro.errors.EnclaveLostError`), automatically respawns one
-  with the same measurement and restores the last checkpoint — clients
-  re-attest and re-handshake, then carry on.
+  with the same measurement and replays the last checkpoint into its
+  empty history (``absorb_sealed_history``) — clients re-attest and
+  re-handshake, then carry on.
 
 All of it is exercised by the seeded fault-injection plane in
 :mod:`repro.faults`; with no plan installed none of the machinery adds a
@@ -72,6 +73,7 @@ from repro.core.gateway import (
 from repro.crypto.https import TlsClient, decode_frames, encode_frame
 from repro.core.history import QueryHistory
 from repro.core.obfuscation import obfuscate_query
+from repro.core.persistence import open_snapshot, seal_snapshot
 from repro.core.protocol import (
     Ack,
     IngestRequest,
@@ -104,7 +106,7 @@ from repro.sgx.attestation import (
     report_data_for_key,
 )
 from repro.sgx.epc import EnclavePageCache
-from repro.sgx.runtime import CostModel, Enclave, ecall
+from repro.sgx.runtime import Enclave, ecall
 
 DEFAULT_K = 3
 DEFAULT_HISTORY_CAPACITY = 100_000
@@ -190,8 +192,6 @@ class XSearchEnclaveCode:
         self._sealer = None
         self._recorder = None
         self._engine_ca_key = None
-        self._pool_connections = True
-        self._pool_capacity = DEFAULT_POOL_CAPACITY
         self._pool = []
         self._pool_lock = threading.Lock()
         self._fanout = 1
@@ -237,8 +237,6 @@ class XSearchEnclaveCode:
              history_capacity: int = DEFAULT_HISTORY_CAPACITY,
              max_sessions: int = DEFAULT_MAX_SESSIONS,
              rng_seed: int = None, engine_ca_key=None,
-             pool_connections: bool = True,
-             pool_capacity: int = DEFAULT_POOL_CAPACITY,
              retry_policy: RetryPolicy = None,
              degraded_cache_bytes: int = DEFAULT_DEGRADED_CACHE_BYTES,
              fanout: int = 1) -> None:
@@ -247,12 +245,9 @@ class XSearchEnclaveCode:
         When ``engine_ca_key`` (an :class:`~repro.crypto.rsa.RsaPublicKey`)
         is provided, the enclave talks HTTPS to the search engine —
         footnote 2 of the paper — authenticating the engine against this
-        pinned CA before sending the obfuscated query.
-
-        ``pool_connections`` keeps engine sockets (and established TLS
-        channels) alive across requests instead of paying a
-        ``sock_connect``/``close`` ocall pair and a TLS handshake per
-        search.
+        pinned CA before sending the obfuscated query.  Engine sockets
+        (and established TLS channels) are kept alive across requests,
+        up to ``DEFAULT_POOL_CAPACITY`` idle ones.
 
         ``retry_policy`` governs the engine leg: transient transport
         failures are retried on fresh connections up to
@@ -275,8 +270,6 @@ class XSearchEnclaveCode:
             raise EnclaveError("k cannot be negative")
         if max_sessions <= 0:
             raise EnclaveError("max_sessions must be positive")
-        if pool_capacity <= 0:
-            raise EnclaveError("pool_capacity must be positive")
         if degraded_cache_bytes < 0:
             raise EnclaveError("degraded_cache_bytes cannot be negative")
         if fanout < 1:
@@ -289,8 +282,6 @@ class XSearchEnclaveCode:
         seed = rng_seed if rng_seed is not None else secrets.randbits(64)
         self._rng = random.Random(seed)
         self._engine_ca_key = engine_ca_key
-        self._pool_connections = bool(pool_connections)
-        self._pool_capacity = pool_capacity
         if degraded_cache_bytes:
             self._degraded = ResultCache(
                 degraded_cache_bytes,
@@ -471,69 +462,25 @@ class XSearchEnclaveCode:
     # ecalls: sealed history persistence (extension; see core.persistence)
     # ------------------------------------------------------------------
     @ecall
-    def seal_history(self) -> bytes:
-        """Export the history as a sealed blob the host can store.
-
-        Only an enclave with this exact measurement on this platform can
-        unseal it, so the host gains nothing from holding it.
-        """
-        self._require_configured()
-        self._require_sealer()
-        from repro.core.persistence import snapshot_history
-
-        return self._sealer.seal(
-            snapshot_history(self._history),
-            aad=b"repro.core.history-snapshot.v1",
-        )
-
-    @ecall
-    def restore_sealed_history(self, blob: bytes) -> int:
-        """Import a sealed history snapshot after a restart.
-
-        The snapshot's window size must match the attested configuration;
-        returns the number of restored queries.
-        """
-        self._require_configured()
-        self._require_sealer()
-        from repro.core.persistence import restore_history
-
-        plaintext = self._sealer.unseal(
-            blob, aad=b"repro.core.history-snapshot.v1"
-        )
-        restored = restore_history(plaintext, enclave_memory=self.memory)
-        if restored.capacity != self._history.capacity:
-            raise EnclaveError(
-                "sealed snapshot was taken with a different history "
-                "capacity than this enclave's attested configuration"
-            )
-        self._history = restored
-        return len(restored)
-
-    @ecall
     def absorb_sealed_history(self, blob: bytes) -> int:
-        """Merge a *peer replica's* sealed snapshot into the live table.
+        """Append a sealed history snapshot to the live table.
 
-        The cluster's failover path replays a dead replica's last
-        checkpoint into the survivors that inherit its sessions.  Unlike
-        :meth:`restore_sealed_history` this does not replace local
-        state: the peer's entries are appended to this enclave's own
-        history (the window evicts the oldest as usual).  Unsealing
-        still requires the same measurement on the same platform, so a
-        replica of a *different* build cannot feed us history; the
-        snapshot's window size must match the attested configuration.
-        Returns the number of entries merged.
+        The one import path for a sealed snapshot: a respawned enclave
+        replays its predecessor's last checkpoint (its own history is
+        empty, so appending rebuilds the same table), and the cluster's
+        failover path merges a dead replica's checkpoint into a survivor
+        (the window evicts the oldest entries as usual).  Unsealing
+        requires the same measurement on the same platform, so a replica
+        of a *different* build cannot feed us history; the snapshot's
+        window size must match the attested configuration.  Returns the
+        number of entries appended.
         """
         self._require_configured()
         self._require_sealer()
-        from repro.core.persistence import decode_snapshot
-
-        plaintext = self._sealer.unseal(
-            blob, aad=b"repro.core.history-snapshot.v1"
-        )
-        capacity, entries = decode_snapshot(plaintext)
+        capacity, entries = open_snapshot(self._sealer, blob)
         if capacity != self._history.capacity:
             raise EnclaveError(
-                "peer snapshot was taken with a different history "
+                "sealed snapshot was taken with a different history "
                 "capacity than this enclave's attested configuration"
             )
         self._history.extend(entries)
@@ -541,22 +488,16 @@ class XSearchEnclaveCode:
 
     @ecall
     def checkpoint_history(self) -> tuple:
-        """Seal the history and report its size in one transition.
+        """Export the history as a sealed blob, with its size.
 
-        The host's periodic checkpointer calls this instead of
-        ``seal_history`` so blob and entry count cost a single ecall;
-        the count lets recovery verify the restore was complete.
+        Only an enclave with this exact measurement on this platform can
+        unseal the blob, so the host gains nothing from holding it; the
+        entry count lets recovery verify the replay was complete.
         Returns ``(sealed_blob, entry_count)``.
         """
         self._require_configured()
         self._require_sealer()
-        from repro.core.persistence import snapshot_history
-
-        blob = self._sealer.seal(
-            snapshot_history(self._history),
-            aad=b"repro.core.history-snapshot.v1",
-        )
-        return blob, len(self._history)
+        return seal_snapshot(self._sealer, self._history), len(self._history)
 
     @ecall
     def history_integrity(self) -> dict:
@@ -720,19 +661,10 @@ class XSearchEnclaveCode:
             ) from exc
 
     # ------------------------------------------------------------------
-    # Engine exchange: pooled persistent connections (default) with a
-    # per-request connect/close fallback kept for baseline measurements.
+    # Engine exchange over pooled persistent connections
     # ------------------------------------------------------------------
     def _http_exchange(self, http_request: bytes):
         """One request/response against the engine; returns (status, body)."""
-        if not self._pool_connections:
-            if self._engine_ca_key is not None:
-                raw = self._exchange_https_once(http_request)
-            else:
-                raw = self._exchange_plain_once(http_request)
-            status, body, _ = split_http_response(raw)
-            return status, body
-
         last_error = None
         for _attempt in range(2):
             try:
@@ -808,7 +740,7 @@ class XSearchEnclaveCode:
 
     def _checkin_connection(self, connection: _EngineConnection) -> None:
         with self._pool_lock:
-            if len(self._pool) < self._pool_capacity:
+            if len(self._pool) < DEFAULT_POOL_CAPACITY:
                 self._pool.append(connection)
                 return
         self._dispose_connection(connection)
@@ -838,48 +770,6 @@ class XSearchEnclaveCode:
         self._bump("tls_handshakes")
         return connection
 
-    # -- baseline (unpooled) paths, kept for ocall-count comparisons -----
-    def _exchange_plain_once(self, http_request: bytes) -> bytes:
-        fd = self.ocalls.sock_connect(ENGINE_HOST, ENGINE_PORT)
-        try:
-            self.ocalls.send(fd, http_request)
-            return self._drain(fd)
-        finally:
-            self.ocalls.close(fd)
-
-    def _exchange_https_once(self, http_request: bytes) -> bytes:
-        """HTTPS with a fresh handshake per request (the pre-pool path)."""
-        client = TlsClient(self._engine_ca_key, ENGINE_HOST)
-        fd = self.ocalls.sock_connect(ENGINE_HOST, ENGINE_TLS_PORT)
-        try:
-            self.ocalls.send(fd, encode_frame(client.client_hello()))
-            frames, _ = decode_frames(self._drain(fd))
-            if not frames:
-                raise NetworkError("engine closed during TLS handshake")
-            client.process_server_hello(frames[0])
-            self._bump("tls_handshakes")
-
-            self.ocalls.send(fd, encode_frame(client.encrypt(http_request)))
-            frames, _ = decode_frames(self._drain(fd))
-            if not frames:
-                raise NetworkError("engine closed before responding")
-            return client.decrypt(frames[0])
-        finally:
-            self.ocalls.close(fd)
-
-    def _drain(self, fd: int) -> bytes:
-        """Read until the peer stops sending (close-delimited responses).
-
-        Accumulates into a ``bytearray`` — amortised linear, unlike the
-        quadratic ``bytes +=`` it replaces."""
-        raw = bytearray()
-        while True:
-            chunk = self.ocalls.recv(fd, _RECV_CHUNK)
-            if not chunk:
-                break
-            raw += chunk
-        return bytes(raw)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -906,7 +796,7 @@ class XSearchProxyHost:
     The host is also the enclave's *supervisor*: when an ecall dies with
     :class:`~repro.errors.EnclaveLostError` it respawns a fresh enclave
     from the same code and config (so the measurement is identical),
-    restores the most recent sealed history checkpoint into it, and
+    replays the most recent sealed history checkpoint into it, and
     resets the engine connection pool's host side.  The in-flight request
     still fails — its session keys died with the enclave — but the next
     attestation a client performs finds a live, restored proxy.
@@ -919,11 +809,9 @@ class XSearchProxyHost:
                  attestation_service: AttestationService = None,
                  rng_seed: int = None,
                  epc: EnclavePageCache = None,
-                 cost_model: CostModel = None,
                  sealing_platform=None,
                  engine_ca_key=None,
                  engine_tls_config: TlsServerConfig = None,
-                 pool_connections: bool = True,
                  retry_policy: RetryPolicy = None,
                  degraded_cache_bytes: int = DEFAULT_DEGRADED_CACHE_BYTES,
                  fanout: int = 1,
@@ -938,17 +826,14 @@ class XSearchProxyHost:
             fault_plan=fault_plan, recorder=recorder,
         )
         https_flag = 1 if engine_ca_key is not None else 0
-        pool_flag = 1 if pool_connections else 0
         # The performance knobs are part of the attested configuration:
-        # a proxy that silently disables pooling or resizes the degraded
-        # cache has a different measurement.
+        # a proxy that silently resizes the degraded cache has a
+        # different measurement.
         self._config = (
             f"k={k};x={history_capacity};https={https_flag};"
-            f"pool={pool_flag};dc={degraded_cache_bytes};"
-            f"fo={fanout}".encode("ascii")
+            f"dc={degraded_cache_bytes};fo={fanout}".encode("ascii")
         )
         self._fault_plan = fault_plan
-        self._cost_model = cost_model
         self._sealing_platform = sealing_platform
         self._epc_usable = epc.usable_bytes if epc is not None else None
         self._first_epc = epc
@@ -956,7 +841,6 @@ class XSearchProxyHost:
             k=k, history_capacity=history_capacity,
             max_sessions=max_sessions,
             rng_seed=rng_seed, engine_ca_key=engine_ca_key,
-            pool_connections=pool_connections,
             retry_policy=retry_policy,
             degraded_cache_bytes=degraded_cache_bytes,
             fanout=fanout,
@@ -1010,7 +894,6 @@ class XSearchProxyHost:
             config=self._config,
             ocalls=self.gateway.ocall_table(),
             epc=epc,
-            cost_model=self._cost_model,
             sealing_platform=self._sealing_platform,
             fault_plan=self._fault_plan,
             recorder=self._recorder,
@@ -1041,7 +924,7 @@ class XSearchProxyHost:
             blob, entries = checkpoint
             self.last_restore_expected = entries
             self.last_restore_count = self.enclave.call(
-                "restore_sealed_history", blob
+                "absorb_sealed_history", blob
             )
             event(self._recorder, "checkpoint.restore",
                   entries=self.last_restore_count)
@@ -1053,6 +936,17 @@ class XSearchProxyHost:
         held the session keys is gone), but the replacement is spawned
         before the error surfaces, so the very next attestation succeeds.
         """
+        enclave = self._live_enclave()
+        try:
+            return enclave.call(name, *args, **kwargs)
+        except EnclaveLostError:
+            with self._enclave_lock:
+                if not self._closed and not self.enclave.is_initialized:
+                    self._respawn_locked()
+            raise
+
+    def _live_enclave(self) -> Enclave:
+        """The current enclave, respawned first if it has died."""
         with self._enclave_lock:
             if self._closed:
                 # A closed host means its enclave (and every session key
@@ -1062,14 +956,14 @@ class XSearchProxyHost:
                 raise EnclaveLostError("proxy host is closed")
             if not self.enclave.is_initialized:
                 self._respawn_locked()
-            enclave = self.enclave
-        try:
-            return enclave.call(name, *args, **kwargs)
-        except EnclaveLostError:
-            with self._enclave_lock:
-                if not self._closed and not self.enclave.is_initialized:
-                    self._respawn_locked()
-            raise
+            return self.enclave
+
+    def _publish_checkpoint(self, blob: bytes, entries: int) -> None:
+        """Keep a sealed checkpoint as the one a respawn replays."""
+        with self._checkpoint_lock:
+            self._history_checkpoint = (blob, entries)
+        self.checkpoint_count += 1
+        self.last_checkpoint_entries = entries
 
     def checkpoint_now(self) -> int:
         """Seal the current history and keep the blob for recovery.
@@ -1082,10 +976,7 @@ class XSearchProxyHost:
         # checkpoint.  Never inside _checkpoint_lock — the holder of a
         # native lock must not yield.
         hooks.step("proxy.checkpoint", entries=entries)
-        with self._checkpoint_lock:
-            self._history_checkpoint = (blob, entries)
-        self.checkpoint_count += 1
-        self.last_checkpoint_entries = entries
+        self._publish_checkpoint(blob, entries)
         event(self._recorder, "checkpoint", entries=entries)
         if self._registry is not None:
             self._registry.counter("proxy.checkpoints").inc()
@@ -1114,7 +1005,7 @@ class XSearchProxyHost:
         """Tear the proxy down: drain the pool, destroy the enclave.
 
         Idempotent.  Takes a final history checkpoint first when sealing
-        is available, so a later host can restore from it.
+        is available, so a later host can absorb it.
         """
         with self._enclave_lock:
             if self._closed:
@@ -1124,11 +1015,8 @@ class XSearchProxyHost:
         if enclave.is_initialized:
             if self._sealing_platform is not None:
                 try:
-                    blob, entries = enclave.call("checkpoint_history")
-                    with self._checkpoint_lock:
-                        self._history_checkpoint = (blob, entries)
-                    self.checkpoint_count += 1
-                    self.last_checkpoint_entries = entries
+                    self._publish_checkpoint(
+                        *enclave.call("checkpoint_history"))
                 except ReproError:
                     self.checkpoint_failures += 1
             try:
@@ -1176,17 +1064,7 @@ class XSearchProxyHost:
                     "injected attestation transient: quoting service "
                     "temporarily unavailable"
                 )
-        with self._enclave_lock:
-            if self._closed:
-                # A closed host means its enclave (and every session key
-                # inside it) is gone — a *loss*, not a hard protocol
-                # error: clients re-attest elsewhere, and a cluster
-                # router counts the loss toward failover.
-                raise EnclaveLostError("proxy host is closed")
-            if not self.enclave.is_initialized:
-                self._respawn_locked()
-            enclave = self.enclave
-        quote = self._quoting_enclave.quote_enclave(enclave)
+        quote = self._quoting_enclave.quote_enclave(self._live_enclave())
         return self._attestation_service.verify_quote(quote)
 
     # ------------------------------------------------------------------
@@ -1260,15 +1138,9 @@ class XSearchProxyHost:
     # ------------------------------------------------------------------
     # Sealed persistence (host stores opaque blobs only)
     # ------------------------------------------------------------------
-    def seal_history(self) -> bytes:
-        return self._call("seal_history")
-
-    def restore_history(self, blob: bytes) -> int:
-        return self._call("restore_sealed_history", blob)
-
     def absorb_history(self, blob: bytes) -> int:
-        """Merge a peer replica's sealed checkpoint into the live
-        history (cluster failover; the blob stays opaque to the host)."""
+        """Append a sealed checkpoint (this host's or a peer replica's)
+        to the live history; the blob stays opaque to the host."""
         return self._call("absorb_sealed_history", blob)
 
     # -- context manager -------------------------------------------------

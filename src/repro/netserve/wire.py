@@ -200,48 +200,6 @@ def decode_header(header: bytes, *,
     return ftype, length
 
 
-class FrameReader:
-    """Incremental frame decoder over an arbitrary byte stream.
-
-    ``feed(data)`` returns the frames completed by those bytes; partial
-    frames wait in the buffer.  The first malformed header raises
-    :class:`~repro.errors.ProtocolError` and poisons the reader — a
-    byte stream with a corrupt header has lost framing for good, so
-    resynchronisation would only manufacture garbage frames.
-    """
-
-    def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES):
-        self._buffer = bytearray()
-        self._max_frame_bytes = max_frame_bytes
-        self._poisoned = False
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> list:
-        if self._poisoned:
-            raise ProtocolError("frame stream already failed; reconnect")
-        self._buffer.extend(data)
-        frames = []
-        while True:
-            if len(self._buffer) < HEADER_BYTES:
-                return frames
-            try:
-                ftype, length = decode_header(
-                    bytes(self._buffer[:HEADER_BYTES]),
-                    max_frame_bytes=self._max_frame_bytes,
-                )
-            except ProtocolError:
-                self._poisoned = True
-                raise
-            if len(self._buffer) < HEADER_BYTES + length:
-                return frames
-            payload = bytes(self._buffer[HEADER_BYTES:HEADER_BYTES + length])
-            del self._buffer[:HEADER_BYTES + length]
-            frames.append(Frame(ftype, payload))
-
-
 def recv_exact(sock, count: int):
     """Read exactly ``count`` bytes from a socket, or ``None`` on EOF.
 

@@ -232,12 +232,14 @@ def test_keep_alive_reassembly_across_partial_reads(gateway):
     assert not buffer  # nothing dropped, nothing invented
 
 
-def test_split_without_content_length_consumes_everything():
-    raw = b"HTTP/1.1 200 OK\r\n\r\nclose-delimited body"
-    status, body, consumed = split_http_response(raw)
-    assert status == 200
-    assert body == b"close-delimited body"
-    assert consumed == len(raw)
+@pytest.mark.parametrize("partial_ok", [False, True])
+def test_split_without_content_length_is_rejected(partial_ok):
+    """On a keep-alive stream a response without Content-Length has no
+    end: it is garbage, not the rest of the buffer (nor "need more
+    bytes")."""
+    raw = b"HTTP/1.1 200 OK\r\n\r\nbody\r\nHTTP/1.1 200 OK\r\n"
+    with pytest.raises(NetworkError, match="Content-Length"):
+        split_http_response(raw, partial_ok=partial_ok)
 
 
 def test_keep_alive_connection_serves_multiple_requests(gateway):

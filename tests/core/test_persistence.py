@@ -4,15 +4,16 @@ import pytest
 
 from repro.core.history import QueryHistory
 from repro.core.persistence import (
-    SealedHistoryStore,
-    restore_history,
+    decode_snapshot,
+    open_snapshot,
+    seal_snapshot,
     snapshot_history,
 )
 from repro.core.proxy import XSearchProxyHost
 from repro.errors import EnclaveError, SealingError
 from repro.search.tracking import TrackingSearchEngine
 from repro.sgx.measurement import measure_bytes
-from repro.sgx.sealing import SealingPlatform
+from repro.sgx.sealing import EnclaveSealer, SealingPlatform
 
 
 def filled_history(n=20, capacity=100):
@@ -27,57 +28,42 @@ def filled_history(n=20, capacity=100):
 
 def test_snapshot_restore_roundtrip():
     history = filled_history()
-    restored = restore_history(snapshot_history(history))
-    assert restored.snapshot() == history.snapshot()
-    assert restored.capacity == history.capacity
+    capacity, entries = decode_snapshot(snapshot_history(history))
+    assert entries == history.snapshot()
+    assert capacity == history.capacity
 
 
 def test_restore_rejects_garbage():
     with pytest.raises(SealingError):
-        restore_history(b"not json")
+        decode_snapshot(b"not json")
     with pytest.raises(SealingError):
-        restore_history(b'{"v": 99}')
+        decode_snapshot(b'{"v": 99}')
     with pytest.raises(SealingError):
-        restore_history(b'{"v": 1, "capacity": "x", "entries": []}')
+        decode_snapshot(b'{"v": 1, "capacity": "x", "entries": []}')
 
 
 # ---------------------------------------------------------------------------
-# SealedHistoryStore
+# Sealed snapshots: bound to one measurement on one platform
 # ---------------------------------------------------------------------------
 
 M_GOOD = measure_bytes(b"good proxy build")
 M_EVIL = measure_bytes(b"evil proxy build")
 
 
-def test_store_save_load_roundtrip():
-    store = SealedHistoryStore(SealingPlatform())
+def test_sealed_snapshot_roundtrip_and_is_opaque():
+    platform = SealingPlatform()
     history = filled_history()
-    store.save("snap", M_GOOD, history)
-    restored = store.load("snap", M_GOOD)
-    assert restored.snapshot() == history.snapshot()
-    assert store.stored_labels() == ["snap"]
+    blob = seal_snapshot(EnclaveSealer(platform, M_GOOD), history)
+    assert b"query 0" not in blob  # the host cannot read the history
+    capacity, entries = open_snapshot(EnclaveSealer(platform, M_GOOD), blob)
+    assert (capacity, entries) == (history.capacity, history.snapshot())
 
 
-def test_store_wrong_measurement_fails():
-    store = SealedHistoryStore(SealingPlatform())
-    store.save("snap", M_GOOD, filled_history())
+def test_sealed_snapshot_wrong_measurement_fails():
+    platform = SealingPlatform()
+    blob = seal_snapshot(EnclaveSealer(platform, M_GOOD), filled_history())
     with pytest.raises(SealingError):
-        store.load("snap", M_EVIL)
-
-
-def test_store_blob_is_opaque_ciphertext():
-    store = SealedHistoryStore(SealingPlatform())
-    store.save("snap", M_GOOD, filled_history())
-    blob = store.raw_blob("snap")
-    assert b"query 0" not in blob  # host cannot read the history
-
-
-def test_store_unknown_label():
-    store = SealedHistoryStore(SealingPlatform())
-    with pytest.raises(SealingError):
-        store.load("missing", M_GOOD)
-    with pytest.raises(SealingError):
-        store.raw_blob("missing")
+        open_snapshot(EnclaveSealer(platform, M_EVIL), blob)
 
 
 # ---------------------------------------------------------------------------
@@ -105,51 +91,60 @@ def ingest_via_session(proxy, texts, session_id="warm"):
     proxy.request(session_id, record)
 
 
+def checkpoint_blob(proxy) -> bytes:
+    proxy.checkpoint_now()
+    return proxy.history_checkpoint
+
+
 def test_proxy_restart_with_sealed_history(small_engine):
     platform = SealingPlatform()
     first = make_proxy(small_engine, platform)
     ingest_via_session(first, [f"persistent query {i}" for i in range(30)])
-    blob = first.seal_history()
+    assert first.checkpoint_now() == 30
+    blob = first.history_checkpoint
 
     # "Restart": a brand-new enclave with the same code and configuration.
     second = make_proxy(small_engine, platform)
     assert second.measurement == first.measurement
-    assert second.restore_history(blob) == 30
+    assert second.absorb_history(blob) == 30
+    assert second.checkpoint_now() == 30
 
 
 def test_restore_rejects_different_capacity(small_engine):
     platform = SealingPlatform()
     first = make_proxy(small_engine, platform, capacity=500)
     ingest_via_session(first, ["a b", "c d"])
-    blob = first.seal_history()
+    blob = checkpoint_blob(first)
 
     other = make_proxy(small_engine, platform, capacity=600)
     # Different capacity => different measurement => unseal fails already.
     with pytest.raises((SealingError, EnclaveError)):
-        other.restore_history(blob)
+        other.absorb_history(blob)
 
 
 def test_restore_rejects_tampered_blob(small_engine):
     platform = SealingPlatform()
     proxy = make_proxy(small_engine, platform)
     ingest_via_session(proxy, ["a b"])
-    blob = bytearray(proxy.seal_history())
+    blob = bytearray(checkpoint_blob(proxy))
     blob[-2] ^= 0x01
     with pytest.raises(SealingError):
-        proxy.restore_history(bytes(blob))
+        proxy.absorb_history(bytes(blob))
 
 
 def test_restore_rejects_foreign_platform(small_engine):
     first = make_proxy(small_engine, SealingPlatform())
     ingest_via_session(first, ["a b"])
-    blob = first.seal_history()
+    blob = checkpoint_blob(first)
 
     other_machine = make_proxy(small_engine, SealingPlatform())
     with pytest.raises(SealingError):
-        other_machine.restore_history(blob)
+        other_machine.absorb_history(blob)
 
 
 def test_sealing_unavailable_without_platform(small_engine):
     proxy = make_proxy(small_engine, None)
     with pytest.raises(EnclaveError):
-        proxy.seal_history()
+        proxy.checkpoint_now()
+    with pytest.raises(EnclaveError):
+        proxy.absorb_history(b"any blob")

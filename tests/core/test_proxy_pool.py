@@ -1,8 +1,8 @@
 """Persistent engine connections: ocall accounting and failure recovery.
 
-The tentpole of the hot-path overhaul: the enclave keeps engine sockets
-(and established TLS channels) alive across requests, so the steady
-state pays only ``send`` + ``recv`` per search instead of the full
+The enclave's one engine path keeps sockets (and established TLS
+channels) alive across requests, so the steady state pays only
+``send`` + ``recv`` per search instead of the paper's
 ``sock_connect``/``send``/``recv``/``recv``/``close`` sequence.
 """
 
@@ -53,25 +53,6 @@ def test_steady_state_needs_only_send_and_recv(small_engine):
     assert "close" not in delta.ocall_counts
 
 
-def test_baseline_reconnects_per_request(small_engine):
-    """pool_connections=False restores the paper-naive per-request path:
-    connect + send + data recv + end-of-response recv + close."""
-    proxy = make_proxy(small_engine, pool_connections=False)
-    endpoint = connect(proxy)
-    search(proxy, endpoint, "warmup query")
-
-    before = proxy.enclave.boundary_snapshot()
-    for i in range(5):
-        search(proxy, endpoint, f"baseline query {i}")
-    delta = proxy.enclave.boundary_snapshot() - before
-
-    assert delta.ocall_counts["sock_connect"] == 5
-    assert delta.ocall_counts["close"] == 5
-    assert delta.ocall_counts["send"] == 5
-    assert delta.ocall_counts["recv"] == 10  # data + empty terminator
-    assert delta.ocalls == 25
-
-
 def test_pool_reuses_a_single_connection(small_engine):
     proxy = make_proxy(small_engine)
     endpoint = connect(proxy)
@@ -100,15 +81,6 @@ def test_pool_reconnects_after_host_side_close(small_engine):
     assert stats["pool_connects"] == 2
     assert stats["pool_disposals"] == 1
     assert len(proxy.gateway._engine.observations) == 2
-
-
-def test_pooled_and_baseline_results_agree(small_engine):
-    pooled = make_proxy(small_engine)
-    baseline = make_proxy(small_engine, pool_connections=False)
-    pooled_results = search(pooled, connect(pooled), "cheap hotel rome")
-    baseline_results = search(baseline, connect(baseline), "cheap hotel rome")
-    assert [r.url for r in pooled_results.results] == \
-        [r.url for r in baseline_results.results]
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +114,19 @@ def test_https_channel_reused_across_requests(small_engine, engine_pki):
     assert len(proxy.gateway._engine.observations) == 3
 
 
-def test_https_baseline_handshakes_per_request(small_engine, engine_pki):
+def test_pooled_http_and_https_results_agree(small_engine, engine_pki):
+    """The two transports of the one pooled engine path answer the same
+    query with the same URLs."""
     ca, tls_config = engine_pki
-    proxy = make_proxy(small_engine, engine_ca_key=ca.public_key,
-                       engine_tls_config=tls_config,
-                       pool_connections=False)
-    endpoint = connect(proxy)
-    search(proxy, endpoint, "tls baseline one")
-    search(proxy, endpoint, "tls baseline two")
-    assert proxy.perf_stats()["tls_handshakes"] == 2
+    plain = make_proxy(small_engine)
+    tls = make_proxy(small_engine, engine_ca_key=ca.public_key,
+                     engine_tls_config=tls_config)
+    plain_results = search(plain, connect(plain), "cheap hotel rome")
+    tls_results = search(tls, connect(tls), "cheap hotel rome")
+    assert plain_results.results
+    assert [r.url for r in plain_results.results] == \
+        [r.url for r in tls_results.results]
+    assert tls.perf_stats()["tls_handshakes"] == 1
 
 
 class BuggyEngine:

@@ -34,6 +34,7 @@ class FakeProxy:
 
     def __init__(self, *, fail_sessions=(), gate=None):
         self.calls = []
+        self.called = threading.Event()     # set by the first call
         self.fail_sessions = set(fail_sessions)
         self.gate = gate            # threading.Event the first call waits on
         self._gated_once = False
@@ -51,6 +52,7 @@ class FakeProxy:
         batch = tuple(batch)
         with self._lock:
             self.calls.append(("request_many", batch))
+        self.called.set()
         self._maybe_wait()
         entries = []
         for session_id, record in batch:
@@ -88,15 +90,29 @@ class ExplodingProxy(FakeProxy):
 
 
 class RecordingCondition(threading.Condition):
-    """A condition that records the timeout of every ``wait``."""
+    """A condition that records the waiting thread's name and the
+    timeout of every ``wait``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.timeouts = []
 
     def wait(self, timeout=None):
-        self.timeouts.append(timeout)
+        self.timeouts.append((threading.current_thread().name, timeout))
         return super().wait(timeout)
+
+
+def wait_for_call(proxy):
+    """Block until the fake proxy has been called; fail after 5 s."""
+    assert proxy.called.wait(timeout=5.0), "the proxy was never called"
+
+
+def wait_for_queue(scheduler, length):
+    """Block until ``length`` tickets are queued; fail after 5 s."""
+    with scheduler._queue_lock:
+        assert scheduler._queue_lock.wait_for(
+            lambda: len(scheduler._queue) >= length, timeout=5.0
+        ), f"the queue never reached {length} tickets"
 
 
 def records_of(proxy, method):
@@ -114,13 +130,11 @@ def cross_behind_a_held_worker(scheduler, proxy, gate, sessions):
 
     threads = [threading.Thread(target=submit, args=("head",))]
     threads[0].start()
-    while not proxy.calls:          # head request is inside the proxy
-        pass
+    wait_for_call(proxy)            # head request is inside the proxy
     for queued, sid in enumerate(sessions, start=1):
         threads.append(threading.Thread(target=submit, args=(sid,)))
         threads[-1].start()
-        while len(scheduler._queue) < queued:
-            pass
+        wait_for_queue(scheduler, queued)
     gate.set()
     for thread in threads:
         thread.join(timeout=5.0)
@@ -147,15 +161,13 @@ def test_backlog_coalesces_into_one_request_many_ecall():
 
     threads = [threading.Thread(target=submit, args=("s0", b"head"))]
     threads[0].start()
-    while not proxy.calls:          # head request is inside the proxy
-        pass
+    wait_for_call(proxy)            # head request is inside the proxy
     for i in range(1, 5):
         thread = threading.Thread(target=submit,
                                   args=(f"s{i}", b"record%d" % i))
         thread.start()
         threads.append(thread)
-    while len(scheduler._queue) < 4:
-        pass
+    wait_for_queue(scheduler, 4)
     gate.set()
     for thread in threads:
         thread.join(timeout=5.0)
@@ -208,8 +220,10 @@ def test_collect_never_waits_with_a_timeout(monkeypatch):
         cross_behind_a_held_worker(scheduler, proxy, gate, ("a", "b", "c"))
     condition = scheduler._queue_lock
     assert isinstance(condition, RecordingCondition)
-    assert condition.timeouts           # the worker did wait for work
-    assert all(timeout is None for timeout in condition.timeouts)
+    worker_waits = [timeout for name, timeout in condition.timeouts
+                    if name.startswith("xsearch-scheduler-")]
+    assert worker_waits                 # the worker did wait for work
+    assert all(timeout is None for timeout in worker_waits)
     assert [len(call) for call in records_of(proxy, "request_many")] == [1, 3]
 
 
@@ -227,14 +241,12 @@ def test_per_record_failure_hits_only_the_failing_session():
 
     head = threading.Thread(target=submit, args=("head", b"h"))
     head.start()
-    while not proxy.calls:
-        pass
+    wait_for_call(proxy)
     threads = [threading.Thread(target=submit, args=(sid, b"x"))
                for sid in ("good-1", "bad", "good-2")]
     for thread in threads:
         thread.start()
-    while len(scheduler._queue) < 3:
-        pass
+    wait_for_queue(scheduler, 3)
     gate.set()
     for thread in [head] + threads:
         thread.join(timeout=5.0)
@@ -258,13 +270,11 @@ def test_per_session_fifo_keeps_submission_order():
 
     head = threading.Thread(target=submit, args=(b"first",))
     head.start()
-    while not proxy.calls:
-        pass
+    wait_for_call(proxy)
     rest = [threading.Thread(target=submit, args=(b"second",)),
             ]
     rest[0].start()
-    while not scheduler._queue:
-        pass
+    wait_for_queue(scheduler, 1)
     gate.set()
     for thread in [head] + rest:
         thread.join(timeout=5.0)
@@ -420,8 +430,7 @@ def test_untyped_failure_fails_only_its_own_record(
             threads.append(threading.Thread(target=submit,
                                             args=(sid, queries[sid])))
             threads[-1].start()
-            while len(scheduler._queue) < queued:
-                pass
+            wait_for_queue(scheduler, queued)
         gate.set()
         for thread in threads:
             thread.join(timeout=30.0)
@@ -503,8 +512,7 @@ def test_ready_made_batch_shares_a_crossing_and_fails_as_one(
         for queued, name in enumerate(("batch", "other"), start=1):
             threads.append(threading.Thread(target=submit, args=(name,)))
             threads[-1].start()
-            while len(scheduler._queue) < queued:
-                pass
+            wait_for_queue(scheduler, queued)
         gate.set()
         for thread in threads:
             thread.join(timeout=30.0)

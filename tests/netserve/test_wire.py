@@ -17,6 +17,8 @@ from repro.errors import (
 )
 from repro.netserve import wire
 
+from _helpers import ChunkedSocket
+
 
 # ----------------------------------------------------------------------
 # Framing
@@ -71,35 +73,47 @@ def test_per_type_caps_are_tighter_than_frame_ceiling():
         wire.decode_header(header)
 
 
+def read_all(sock) -> list:
+    frames = []
+    while (frame := wire.read_frame(sock)) is not None:
+        frames.append(frame)
+    return frames
+
+
 def test_frame_reader_incremental():
-    reader = wire.FrameReader()
     stream = (wire.encode_frame(wire.T_PING, b"a")
               + wire.encode_frame(wire.T_PONG, b"bb"))
-    frames = []
-    for index in range(len(stream)):  # one byte at a time
-        frames.extend(reader.feed(stream[index:index + 1]))
+    sock = ChunkedSocket(stream, max_chunk=1)  # one byte at a time
+    frames = read_all(sock)
     assert [(f.ftype, f.payload) for f in frames] == [
         (wire.T_PING, b"a"), (wire.T_PONG, b"bb"),
     ]
-    assert reader.pending_bytes == 0
+    assert sock.pending_bytes == 0
 
 
 def test_frame_reader_multiple_frames_in_one_feed():
-    reader = wire.FrameReader()
     stream = b"".join(
         wire.encode_frame(wire.T_PING, bytes([i])) for i in range(5)
     )
-    frames = reader.feed(stream)
-    assert len(frames) == 5
+    frames = read_all(ChunkedSocket(stream, max_chunk=len(stream)))
+    assert [f.payload for f in frames] == [bytes([i]) for i in range(5)]
+
+
+def test_frame_reader_truncated_stream_is_eof():
+    stream = wire.encode_frame(wire.T_PING, b"abcd")
+    assert wire.read_frame(ChunkedSocket(stream[:5])) is None
+    assert wire.read_frame(ChunkedSocket(stream[:-1])) is None
 
 
 def test_frame_reader_poisons_on_bad_header():
-    reader = wire.FrameReader()
+    """A corrupt header raises at once; the reader never scans ahead to
+    resynchronise on the valid frame behind it (the server drops the
+    connection instead)."""
+    valid = wire.encode_frame(wire.T_PING, b"")
+    sock = ChunkedSocket(b"GARBAGEGARB" + valid)
     with pytest.raises(ProtocolError):
-        reader.feed(b"GARBAGEGARB")
-    # Poisoned for good: even valid bytes are refused afterwards.
-    with pytest.raises(ProtocolError):
-        reader.feed(wire.encode_frame(wire.T_PING, b""))
+        wire.read_frame(sock)
+    assert sock.pending_bytes == len(valid)
 
 
 # ----------------------------------------------------------------------

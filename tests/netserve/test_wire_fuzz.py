@@ -22,7 +22,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.netserve import wire
 
-from _helpers import make_client, raw_connect
+from _helpers import ChunkedSocket, make_client, raw_connect
 
 SEED = 20260808
 #: Total malformed inputs across the suite (the issue floor is 200).
@@ -95,13 +95,15 @@ def _malformed_corpus(rng, count):
 # Codec level
 # ----------------------------------------------------------------------
 def test_fuzz_frame_reader_total():
-    """Every mutation decodes or raises ProtocolError — nothing else."""
+    """Every mutation, read by ``read_frame`` in short random chunks,
+    decodes or raises ProtocolError — nothing else."""
     rng = random.Random(SEED)
     rejected = 0
-    for blob in _malformed_corpus(rng, N_HEADER_CASES):
-        reader = wire.FrameReader()
+    for case, blob in enumerate(_malformed_corpus(rng, N_HEADER_CASES)):
+        sock = ChunkedSocket(blob, max_chunk=1 + case % 16, seed=case)
         try:
-            reader.feed(blob)
+            while wire.read_frame(sock) is not None:
+                pass
         except ProtocolError:
             rejected += 1
     assert rejected > N_HEADER_CASES // 4  # the corpus does real damage

@@ -18,20 +18,55 @@ docs/TESTING.md).  Exit status 1 on any failure, so CI gates on it.
 ``--mutate`` flips the run into the sanity gate: the named planted bug
 MUST be caught (exit 1 if every run stays green), proving the oracles
 are actually looking.
+
+A world that runs past ``WORLD_TIME_LIMIT`` seconds (shrink candidates
+included) is a failure too: its spec and every thread's stack are
+printed and the process exits 1 at once, so a deadlocked world cannot
+stall a sweep silently.  Output is line-buffered even when redirected.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import faulthandler
 import json
+import os
 import sys
+import threading
 
 #: Seed budgets: `pr` keeps the smoke under a minute; `nightly` digs.
 PROFILES = {
     "pr": {"seeds": 120, "interleavings": 2},
     "nightly": {"seeds": 1200, "interleavings": 4},
 }
+
+#: Seconds one world may run before the sweep reports it hung; a healthy
+#: world finishes in seconds at most.
+WORLD_TIME_LIMIT = 120.0
+
+
+def _report_hung(spec) -> None:
+    print(f"FAIL seed={spec.seed} interleaving={spec.interleaving} "
+          f"chaos={list(spec.chaos)} hung: still running after "
+          f"{WORLD_TIME_LIMIT:g} s")
+    sys.stdout.flush()
+    faulthandler.dump_traceback(file=sys.stdout, all_threads=True)
+    sys.stdout.flush()
+    os._exit(1)
+
+
+def watched(run_sim):
+    """``run_sim`` under a per-world watchdog (see the module doc)."""
+    def run(spec):
+        timer = threading.Timer(WORLD_TIME_LIMIT, _report_hung, (spec,))
+        timer.daemon = True
+        timer.start()
+        try:
+            return run_sim(spec)
+        finally:
+            timer.cancel()
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,8 +135,14 @@ def main(argv=None) -> int:
     seeds = 40 if seeds is None else seeds
     interleavings = 1 if interleavings is None else interleavings
 
+    sys.stdout.reconfigure(line_buffering=True)
+
     from repro.sim import MUTATIONS, WorldSpec
+    import repro.sim.explore as explore_module
     from repro.sim.explore import explore
+
+    # Every world the sweep and the shrinker run goes through this name.
+    explore_module.run_sim = watched(explore_module.run_sim)
 
     if args.mutate is not None and args.mutate not in MUTATIONS:
         print(f"unknown mutation {args.mutate!r}; "
