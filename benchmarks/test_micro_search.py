@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets import generate_log
 from repro.search import CorpusConfig, SearchEngine
 
 
@@ -45,3 +46,20 @@ def test_engine_build(benchmark):
         iterations=1,
     )
     assert engine.n_documents > 0
+
+
+def test_engine_build_default_corpus(benchmark):
+    """The corpus every deployment builds at set-up (``setup.engine_s``)."""
+    engine = benchmark.pedantic(
+        SearchEngine.with_synthetic_corpus,
+        kwargs={"seed": 0, "config": CorpusConfig()},
+        rounds=3,
+        iterations=1,
+    )
+    assert engine.n_documents > 0
+
+
+def test_generate_log(benchmark):
+    log = benchmark.pedantic(generate_log, kwargs={"seed": 11},
+                             rounds=3, iterations=1)
+    assert len(log) > 0

@@ -19,7 +19,10 @@ textually related to that query's topic.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.errors import DatasetError
@@ -265,16 +268,30 @@ class TopicModel:
         return out
 
 
+# typed: weights of int and float exponents can round apart (1/101**8 is
+# not 1/101**8.0), so an exponent never reuses the equal other's table.
+@functools.lru_cache(maxsize=16, typed=True)
+def _zipf_table(n: int, s: float) -> tuple:
+    """``(running sums, total)`` of the weights ``1/(r+1)^s``, r < n."""
+    weights = [1.0 / ((rank + 1) ** s) for rank in range(n)]
+    return tuple(itertools.accumulate(weights)), sum(weights)
+
+
 def zipf_rank(n: int, rng: random.Random, s: float = 1.1) -> int:
-    """Sample a rank in [0, n) with probability proportional to 1/(r+1)^s."""
+    """Sample a rank in [0, n) with probability proportional to 1/(r+1)^s.
+
+    Draws come from a table cached per ``(n, s)`` and are bit-identical
+    to summing the ``n`` weights and scanning their running sum on every
+    call: ``itertools.accumulate`` makes the same left-to-right float
+    adds as the scan, the total is ``sum(weights)`` (not the last
+    running sum, which can differ from it on Python 3.12+, where float
+    ``sum()`` is compensated), one ``rng.random()`` is drawn, and
+    ``bisect_left`` on the non-decreasing running sums returns the first
+    rank with ``acc >= target``.  A target past the last sum gives
+    ``n - 1``.
+    """
     if n <= 0:
         raise DatasetError("cannot sample from an empty vocabulary")
-    weights = [1.0 / ((rank + 1) ** s) for rank in range(n)]
-    total = sum(weights)
-    target = rng.random() * total
-    acc = 0.0
-    for rank, weight in enumerate(weights):
-        acc += weight
-        if acc >= target:
-            return rank
-    return n - 1
+    cumulative, total = _zipf_table(n, s)
+    rank = bisect_left(cumulative, rng.random() * total)
+    return rank if rank < n else n - 1

@@ -463,9 +463,11 @@ class Enclave:
 
     def destroy(self) -> None:
         """Tear the enclave down; all enclave memory becomes inaccessible."""
+        # Mark it destroyed first: a caller that then finds it
+        # uninitialized or without an instance knows it was lost.
+        self._destroyed = True
         self._instance = None
         self._initialized = False
-        self._destroyed = True
 
     @property
     def is_initialized(self) -> bool:
@@ -483,6 +485,8 @@ class Enclave:
             # and re-attesting.
             raise EnclaveLostError("enclave has been destroyed")
         if not self._initialized:
+            if self._destroyed:  # destroyed since the check above
+                raise EnclaveLostError("enclave has been destroyed")
             raise EnclaveError("enclave is not initialized (EINIT missing)")
         if name not in self._ecall_names:
             raise EnclaveError(
@@ -502,6 +506,13 @@ class Enclave:
         if self.fault_plan is not None:
             self._inject_ecall_faults(name)
         with self._tcs:  # blocks when all TCS are occupied
+            # A crash on another entry may have destroyed the enclave
+            # while this caller waited for a TCS: it never gets in.
+            instance = self._instance
+            if instance is None:
+                raise EnclaveLostError(
+                    f"enclave was destroyed before ecall {name!r} entered"
+                )
             with self._concurrency_lock:
                 self._threads_inside += 1
                 self.max_threads_inside = max(
@@ -509,7 +520,7 @@ class Enclave:
                 )
             try:
                 self._on_boundary("ecall", name, args)
-                return getattr(self._instance, name)(*args, **kwargs)
+                return getattr(instance, name)(*args, **kwargs)
             finally:
                 with self._concurrency_lock:
                     self._threads_inside -= 1

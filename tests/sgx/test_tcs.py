@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from repro.errors import EnclaveError
+from repro.errors import EnclaveError, EnclaveLostError
 from repro.sgx.runtime import Enclave, OcallTable, ecall
 
 
@@ -96,6 +96,71 @@ def test_single_tcs_serialises():
     # Excess callers blocked at the boundary and then got in — a full
     # TCS table queues, it does not fail.
     assert enclave.counter.ecalls == 3
+
+
+class SignallingTcs:
+    """Wraps the TCS semaphore; sets ``queued`` as a caller starts to
+    wait for a slot, so a test knows it is past the liveness checks."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queued = threading.Event()
+
+    def __enter__(self):
+        self.queued.set()
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.inner.__exit__(*exc_info)
+
+
+def call_capturing(enclave, method, outcomes):
+    try:
+        outcomes.append(enclave.call(method))
+    except Exception as exc:  # the outcome under test
+        outcomes.append(exc)
+
+
+def test_ecall_queued_for_a_tcs_when_the_enclave_dies_is_lost():
+    enclave, gate = make(tcs_count=1)
+    held = run_threads(enclave, 1)  # occupies the only TCS
+    assert gate.full.wait(timeout=30)
+    tcs = SignallingTcs(enclave._tcs)
+    enclave._tcs = tcs
+    outcomes = []
+    queued = threading.Thread(target=call_capturing,
+                              args=(enclave, "parked", outcomes))
+    queued.start()
+    assert tcs.queued.wait(timeout=30)
+    # A crash on another entry tears the enclave down while the second
+    # caller waits at the boundary; then the held call leaves.
+    enclave.destroy()
+    gate.release.set()
+    join_all(held + [queued])
+    [outcome] = outcomes
+    assert isinstance(outcome, EnclaveLostError), repr(outcome)
+    assert enclave.counter.ecalls == 1  # the lost call never crossed
+
+
+class DestroyedOnRead:
+    """A ``_destroyed`` flag that reads False once, then destroys the
+    enclave: the teardown lands between ``call``'s two liveness checks."""
+
+    def __init__(self, enclave):
+        self.enclave = enclave
+
+    def __bool__(self):
+        self.enclave.destroy()
+        return False
+
+
+def test_ecall_racing_teardown_past_the_destroyed_check_is_lost():
+    enclave, gate = make(tcs_count=1)
+    gate.release.set()
+    enclave._destroyed = DestroyedOnRead(enclave)
+    with pytest.raises(EnclaveLostError):
+        enclave.call("parked")
+    assert enclave.counter.ecalls == 0
 
 
 def test_tcs_count_validated():
