@@ -65,8 +65,6 @@ class DeploymentConfig:
     ``replica_fault_plans`` maps a replica *index* to its own
     :class:`~repro.faults.plan.FaultPlan`, so one replica can be killed
     deterministically while the others serve.
-    ``fanout=None`` resolves to the concurrent default (two engine
-    connections per worker) when ``max_workers`` is set.
     """
 
     k: int = DEFAULT_K
@@ -77,7 +75,6 @@ class DeploymentConfig:
     retry_policy: RetryPolicy = None
     max_workers: int = None
     max_batch: int = DEFAULT_MAX_BATCH
-    fanout: int = None
     replicas: int = 1
     vnodes: int = DEFAULT_VNODES
     failover_threshold: int = DEFAULT_FAILOVER_THRESHOLD
@@ -229,14 +226,6 @@ class XSearchDeployment:
         shared_options = dict(config.proxy_options)
         if config.retry_policy is not None:
             shared_options.setdefault("retry_policy", config.retry_policy)
-        if config.fanout is not None:
-            shared_options["fanout"] = config.fanout
-        elif config.max_workers is not None:
-            # Concurrent mode: let the enclave fan engine queries out in
-            # parallel unless the caller pinned fanout.  The pool is a
-            # per-worker resource (two parallel engine connections per
-            # worker, like cores × connections in a real deployment).
-            shared_options.setdefault("fanout", 2 * config.max_workers)
         if config.replicas > 1:
             # Failover replays sealed checkpoints between replicas, so a
             # cluster runs on one shared sealing platform by default

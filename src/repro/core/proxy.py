@@ -58,7 +58,6 @@ import secrets
 import threading
 import urllib.parse
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.filtering import filter_results
 from repro.core.gateway import (
@@ -194,8 +193,6 @@ class XSearchEnclaveCode:
         self._engine_ca_key = None
         self._pool = []
         self._pool_lock = threading.Lock()
-        self._fanout = 1
-        self._fanout_pool = None
         self._degraded = None
         self._retry_policy = DEFAULT_ENGINE_RETRY
         self._perf_lock = threading.Lock()
@@ -238,8 +235,8 @@ class XSearchEnclaveCode:
              max_sessions: int = DEFAULT_MAX_SESSIONS,
              rng_seed: int = None, engine_ca_key=None,
              retry_policy: RetryPolicy = None,
-             degraded_cache_bytes: int = DEFAULT_DEGRADED_CACHE_BYTES,
-             fanout: int = 1) -> None:
+             degraded_cache_bytes: int = DEFAULT_DEGRADED_CACHE_BYTES
+             ) -> None:
         """Setup options for X-Search (paper's ``init`` ecall).
 
         When ``engine_ca_key`` (an :class:`~repro.crypto.rsa.RsaPublicKey`)
@@ -256,13 +253,6 @@ class XSearchEnclaveCode:
         ``degraded_cache_bytes`` sizes the in-enclave cache of last-known
         filtered results per original query (0 disables degraded mode);
         its memory is charged to the EPC model.
-
-        ``fanout`` caps how many engine legs of one batched ecall run in
-        parallel across pooled connections (1 = strictly serial, the
-        historical behaviour).  Only the engine leg is parallelised:
-        decryption, obfuscation (which shares the enclave RNG and
-        mutates the history) and encryption stay in batch order, so the
-        channel counters and reproducible RNG draws are untouched.
         """
         if self._configured:
             raise EnclaveError("enclave already initialised")
@@ -272,8 +262,6 @@ class XSearchEnclaveCode:
             raise EnclaveError("max_sessions must be positive")
         if degraded_cache_bytes < 0:
             raise EnclaveError("degraded_cache_bytes cannot be negative")
-        if fanout < 1:
-            raise EnclaveError("fanout must be positive")
         self._k = k
         self._max_sessions = max_sessions
         self._history = QueryHistory(history_capacity,
@@ -290,14 +278,6 @@ class XSearchEnclaveCode:
             )
         if retry_policy is not None:
             self._retry_policy = retry_policy
-        self._fanout = fanout
-        if fanout > 1:
-            # Created eagerly (init is single-threaded by construction)
-            # so concurrent batch ecalls never race on the pool.
-            self._fanout_pool = ThreadPoolExecutor(
-                max_workers=fanout,
-                thread_name_prefix="xsearch-enclave-fanout",
-            )
         self._configured = True
 
     # ------------------------------------------------------------------
@@ -375,12 +355,13 @@ class XSearchEnclaveCode:
         counter does not move.  An untyped exception becomes the
         record's :class:`EnclaveError`, naming only its type.
 
-        One pipeline serves every call.  Each record is staged in batch
-        order: open, decode, then ingest or obfuscate (the steps that
-        touch channel counters, the history and the shared enclave
-        RNG).  The engine legs then run inline when there is at most one
-        or ``fanout == 1``, otherwise across the fanout pool.  Finally
-        the replies are sealed in batch order.
+        One pipeline serves every call, all on the thread that made the
+        ecall: an enclave starts no threads, so concurrency comes only
+        from several host threads each holding a TCS.  Each record is
+        staged in batch order: open, decode, then ingest or obfuscate
+        (the steps that touch channel counters, the history and the
+        shared enclave RNG).  The engine legs then run in batch order,
+        and the replies are sealed in batch order.
         """
         self._require_configured()
         batch = list(batch)
@@ -393,23 +374,11 @@ class XSearchEnclaveCode:
             except Exception as exc:  # xlint: disable=taxonomy
                 errors.setdefault(session_id, _record_error(exc))
                 staged.append(None)
-        legs = [index for index, entry in enumerate(staged)
-                if batch[index][0] not in errors
-                and entry.request is not None]
-        pool = self._fanout_pool if len(legs) > 1 else None
-        futures = {} if pool is None else {
-            index: pool.submit(self._engine_leg, staged[index])
-            for index in legs
-        }
-        for index in legs:
-            session_id = batch[index][0]
-            future = futures.get(index)
-            if future is None and session_id in errors:
-                continue        # its session failed: no reply is sealed
+        for (session_id, _record), entry in zip(batch, staged):
+            if session_id in errors or entry.request is None:
+                continue        # failed session, or an ingest's Ack
             try:
-                staged[index].reply = (self._engine_leg(staged[index])
-                                       if future is None
-                                       else future.result())
+                entry.reply = self._engine_leg(entry)
             except Exception as exc:  # xlint: disable=taxonomy
                 errors.setdefault(session_id, _record_error(exc))
         return tuple(
@@ -531,9 +500,6 @@ class XSearchEnclaveCode:
         """
         if not self._configured:
             return 0
-        if self._fanout_pool is not None:
-            self._fanout_pool.shutdown(wait=True)
-            self._fanout_pool = None
         with self._pool_lock:
             connections, self._pool = self._pool, []
         for connection in connections:
@@ -553,9 +519,8 @@ class XSearchEnclaveCode:
         """Algorithm 1: plaintext query → k+1 aggregated queries.
 
         Kept separate from :meth:`_complete_search` so the batched
-        pipeline can run obfuscation serially (it draws from the shared
-        enclave RNG and appends to the history) while fanning the engine
-        legs out in parallel.
+        pipeline stages every record (drawing from the shared enclave
+        RNG and appending to the history) before any engine leg runs.
         """
         recorder = self._recorder
         with span(recorder, "enclave.obfuscation",
@@ -814,7 +779,6 @@ class XSearchProxyHost:
                  engine_tls_config: TlsServerConfig = None,
                  retry_policy: RetryPolicy = None,
                  degraded_cache_bytes: int = DEFAULT_DEGRADED_CACHE_BYTES,
-                 fanout: int = 1,
                  fault_plan=None,
                  checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
                  recorder=None, registry=None,
@@ -831,7 +795,7 @@ class XSearchProxyHost:
         # different measurement.
         self._config = (
             f"k={k};x={history_capacity};https={https_flag};"
-            f"dc={degraded_cache_bytes};fo={fanout}".encode("ascii")
+            f"dc={degraded_cache_bytes}".encode("ascii")
         )
         self._fault_plan = fault_plan
         self._sealing_platform = sealing_platform
@@ -843,7 +807,6 @@ class XSearchProxyHost:
             rng_seed=rng_seed, engine_ca_key=engine_ca_key,
             retry_policy=retry_policy,
             degraded_cache_bytes=degraded_cache_bytes,
-            fanout=fanout,
         )
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be positive or None")

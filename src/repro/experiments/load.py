@@ -33,7 +33,6 @@ import heapq
 import json
 import operator
 import random
-import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager, nullcontext
@@ -100,8 +99,8 @@ def _arrivals(rate: float, duration_seconds: float, seed: int) -> list:
 class PacedEngine:
     """Wraps a :class:`SearchEngine`, charging a fixed service time per
     exchange.  ``clock.sleep`` releases the GIL, so in wall-clock mode
-    concurrent fan-out/worker threads genuinely overlap their engine
-    waits — the overlap Figure 5's scaling claim is about."""
+    concurrent worker threads genuinely overlap their engine waits — the
+    overlap Figure 5's scaling claim is about."""
 
     def __init__(self, engine: SearchEngine, *, latency: float,
                  clock=None):
@@ -384,25 +383,6 @@ class Cluster:
 # ----------------------------------------------------------------------
 # Virtual mode: deterministic discrete-event sweep over the real pipeline
 # ----------------------------------------------------------------------
-@contextmanager
-def _whole_engine_legs():
-    """Keep the GIL on one thread until it blocks or finishes.
-
-    A batch's engine legs run on the enclave's fan-out threads, all
-    pure Python.  The interpreter forces a thread switch after a
-    wall-clock interval, and a leg switched out mid-exchange makes the
-    next leg open one more pooled engine connection — so the connect
-    ocalls the simulation charges, and the trace digest counts, would
-    depend on the OS scheduler.
-    """
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(60.0)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def run_virtual(topology: InProcess, *, rates, duration_seconds: float,
                 seed: int = 0, k: int = 3, limit: int = 5) -> LoadResult:
     """Deterministic saturation sweep: DES of the scheduler's policy,
@@ -410,21 +390,19 @@ def run_virtual(topology: InProcess, *, rates, duration_seconds: float,
 
     Each simulated batch of B requests really executes
     (``search_batch``) and is charged ``boundary_cycles / clock_hz +
-    compute_per_record × B + engine_latency × ceil(B / fanout)``: the
-    measured transition cost of that very batch, the modelled enclave
-    compute, and its engine exchanges spread over the deployment's
-    ``fanout = 2 × workers`` connections.  As in
+    compute_per_record × B + engine_latency × B``: the measured
+    transition cost of that very batch, the modelled enclave compute,
+    and its engine exchanges, which run one after another on the thread
+    that made the ecall.  As in
     :class:`~repro.core.scheduler.RequestScheduler`, a freed worker
     takes the whole backlog up to ``max_batch``.
     """
-    fanout = 2 * topology.workers
     recorder = TraceRecorder()
     outputs = hashlib.sha256()
     points = []
-    config = DeploymentConfig(seed=seed, k=k, fanout=fanout)
-    with _whole_engine_legs(), \
-            XSearchDeployment.create(config=config,
-                                     recorder=recorder) as deployment, \
+    config = DeploymentConfig(seed=seed, k=k)
+    with XSearchDeployment.create(config=config,
+                                  recorder=recorder) as deployment, \
             topology.driver(deployment) as (client,):
         enclave = deployment.proxy.enclave
         for rate in rates:
@@ -451,7 +429,7 @@ def run_virtual(topology: InProcess, *, rates, duration_seconds: float,
                 cycles = enclave.boundary_snapshot().cycles - before
                 done = start + (cycles / DEFAULT_CLOCK_HZ
                                 + COMPUTE_PER_RECORD * size
-                                + VIRTUAL_ENGINE_LATENCY * -(-size // fanout))
+                                + VIRTUAL_ENGINE_LATENCY * size)
                 for j in batch:
                     latencies.append(done - arrivals[j])
                     completions.append(done)
@@ -611,11 +589,11 @@ FIG5_PATH = "BENCH_fig5.json"
 AVAILABILITY_PATH = "BENCH_fig5_availability.json"
 
 WALL_RATES = (15, 30, 60, 120, 240, 420)
-#: The cluster grid jumps 60 → 240: one replica's engine pacing bounds
-#: it at ``workers × max_batch / (2 × engine_latency) = 200`` req/s, so
-#: its knee lands at 60 on any machine, while four replicas' 800 req/s
-#: pacing bound leaves their peak CPU-limited — exactly the scale-out
-#: capacity the scaling gate compares.
+#: The cluster grid jumps 60 → 240: a crossing runs its engine legs one
+#: after another, so one replica's engine pacing bounds it at
+#: ``workers / engine_latency = 50`` req/s and its knee lands below 60
+#: on any machine, while four replicas' 200 req/s pacing bound sets
+#: their peak — the scale-out capacity the scaling gate compares.
 CLUSTER_RATES = (15, 30, 60, 240, 420)
 
 

@@ -2,8 +2,13 @@
 the session as the unit of failure (``request_batch`` and ``request``
 are host entry points over it)."""
 
+import functools
+import threading
+
 import pytest
 
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
+from repro.core.gateway import EngineGateway
 from repro.core.protocol import (
     Ack,
     IngestRequest,
@@ -170,16 +175,16 @@ def assert_next_record_served(proxy, endpoint, session_id="batch-session"):
     assert SearchResponse.decode(endpoint.decrypt(reply)).results
 
 
-@pytest.mark.parametrize("fanout", [1, 4])
+@pytest.mark.parametrize("k", [1, 4])
 def test_ready_made_batch_with_a_failing_leg_fails_as_one(
-        small_engine, monkeypatch, fanout):
+        small_engine, monkeypatch, k):
     """A one-session batch of three whose middle engine leg fails gets
     the session's error for every record and seals no reply; all three
     records were opened, so the session's next record is served."""
     fail_engine_leg(monkeypatch,
                     EngineUnavailableError("scripted engine failure"))
-    proxy = XSearchProxyHost(small_engine, k=1, history_capacity=1000,
-                             rng_seed=13, fanout=fanout)
+    proxy = XSearchProxyHost(small_engine, k=k, history_capacity=1000,
+                             rng_seed=13)
     endpoint = connect(proxy)
     queries = ["hotel rome", FAILING_QUERY, "mortgage rates"]
     entries = proxy.request_many(
@@ -196,14 +201,14 @@ def test_ready_made_batch_with_a_failing_leg_fails_as_one(
     proxy.close()
 
 
-@pytest.mark.parametrize("fanout", [1, 4])
+@pytest.mark.parametrize("k", [1, 4])
 def test_untyped_engine_error_on_the_direct_path_is_scrubbed(
-        small_engine, monkeypatch, fanout):
+        small_engine, monkeypatch, k):
     """An untyped exception in a lone request's engine leg surfaces as
     an EnclaveError naming only the exception type."""
     fail_engine_leg(monkeypatch, RuntimeError(SECRET))
-    proxy = XSearchProxyHost(small_engine, k=1, history_capacity=1000,
-                             rng_seed=13, fanout=fanout)
+    proxy = XSearchProxyHost(small_engine, k=k, history_capacity=1000,
+                             rng_seed=13)
     endpoint = connect(proxy)
     ((_, record),) = search_records(endpoint, "batch-session",
                                     [FAILING_QUERY])
@@ -216,15 +221,15 @@ def test_untyped_engine_error_on_the_direct_path_is_scrubbed(
     proxy.close()
 
 
-@pytest.mark.parametrize("fanout", [1, 4])
+@pytest.mark.parametrize("k", [1, 4])
 def test_undecodable_record_fails_its_batch_and_every_record_is_opened(
-        small_engine, fanout):
+        small_engine, k):
     """A record that decrypts but does not decode fails its session's
     batch; the records after it are still opened, so the session's
     receive counter matches the client's and its next record is
     served."""
-    proxy = XSearchProxyHost(small_engine, k=1, history_capacity=1000,
-                             rng_seed=13, fanout=fanout)
+    proxy = XSearchProxyHost(small_engine, k=k, history_capacity=1000,
+                             rng_seed=13)
     endpoint = connect(proxy)
     batch = search_records(endpoint, "batch-session", ["hotel rome"])
     batch.append(("batch-session", endpoint.encrypt(b"not a request")))
@@ -233,3 +238,38 @@ def test_undecodable_record_fails_its_batch_and_every_record_is_opened(
         proxy.request_batch(batch)
     assert_next_record_served(proxy, endpoint)
     proxy.close()
+
+
+def test_engine_legs_run_on_the_thread_that_entered_the_ecall(
+        small_engine, monkeypatch):
+    """An enclave starts no threads: every engine leg of a batched
+    crossing runs on the host thread that made the ``request_many``
+    ecall, and no enclave-side thread exists."""
+    entered, sent = [], []
+    request_many = XSearchEnclaveCode.request_many
+    send = EngineGateway.send
+
+    @functools.wraps(request_many)
+    def entering(self, batch):
+        entered.append(threading.get_ident())
+        return request_many(self, batch)
+
+    def sending(self, fd, data):
+        sent.append(threading.get_ident())
+        return send(self, fd, data)
+
+    monkeypatch.setattr(XSearchEnclaveCode, "request_many", entering)
+    monkeypatch.setattr(EngineGateway, "send", sending)
+    config = DeploymentConfig(seed=5, k=2, max_workers=2)
+    with XSearchDeployment.create(config=config,
+                                  engine=small_engine) as deployment:
+        entered.clear()
+        sent.clear()
+        pages = deployment.client.search_batch(
+            ["hotel rome", "diabetes symptoms", "nfl playoffs",
+             "mortgage rates"], limit=3)
+        assert len(pages) == 4
+        assert entered and sent
+        assert set(sent) <= set(entered)
+        assert not [thread.name for thread in threading.enumerate()
+                    if thread.name.startswith("xsearch-enclave-")]

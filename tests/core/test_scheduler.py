@@ -370,10 +370,10 @@ POISON_QUERY = "cheap flights paris"
 POISON_SECRET = "secret plaintext cheap flights paris"
 
 
-@pytest.mark.parametrize("fanout", [1, 4])
+@pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("stage", ["engine", "obfuscation"])
 def test_untyped_failure_fails_only_its_own_record(
-        small_engine, monkeypatch, stage, fanout):
+        small_engine, monkeypatch, stage, k):
     """An untyped exception in one record's engine leg (or obfuscation)
     becomes that record's scrubbed ``EnclaveError``; its batch-mates in
     the same ``request_many`` ecall are served, and every channel stays
@@ -397,8 +397,8 @@ def test_untyped_failure_fails_only_its_own_record(
 
     monkeypatch.setattr(XSearchEnclaveCode, "_complete_search", engine_leg)
     monkeypatch.setattr(XSearchEnclaveCode, "_obfuscate", obfuscation)
-    proxy = XSearchProxyHost(small_engine, k=1, history_capacity=100,
-                             rng_seed=3, fanout=fanout)
+    proxy = XSearchProxyHost(small_engine, k=k, history_capacity=100,
+                             rng_seed=3)
     queries = {"head": HOLD_QUERY, "s0": "diabetes symptoms",
                "s1": POISON_QUERY, "s2": "nfl playoffs",
                "s3": "mortgage rates"}
@@ -453,9 +453,9 @@ def test_untyped_failure_fails_only_its_own_record(
     proxy.close()
 
 
-@pytest.mark.parametrize("fanout", [1, 4])
+@pytest.mark.parametrize("k", [1, 4])
 def test_ready_made_batch_shares_a_crossing_and_fails_as_one(
-        small_engine, monkeypatch, fanout):
+        small_engine, monkeypatch, k):
     """A one-session batch of three with a failing engine leg shares one
     ``request_many`` crossing with another session's single record: the
     single is served, the batch fails as one unit with no reply sealed,
@@ -472,8 +472,8 @@ def test_ready_made_batch_shares_a_crossing_and_fails_as_one(
         return complete_search(self, request, obfuscated)
 
     monkeypatch.setattr(XSearchEnclaveCode, "_complete_search", engine_leg)
-    proxy = XSearchProxyHost(small_engine, k=1, history_capacity=100,
-                             rng_seed=3, fanout=fanout)
+    proxy = XSearchProxyHost(small_engine, k=k, history_capacity=100,
+                             rng_seed=3)
     endpoints = {}
     for sid in ("head", "tenant", "other"):
         initiator = HandshakeInitiator()

@@ -94,24 +94,6 @@ def test_different_seed_changes_digest(server_virtual):
     assert server_virtual.digest() != other.digest()
 
 
-@pytest.mark.parametrize("topology", [InProcess(3), Server(3)],
-                         ids=["in-process", "server"])
-def test_virtual_mode_deploys_the_fanout_it_models(topology,
-                                                   monkeypatch):
-    # The service-time model divides a batch's engine exchanges over
-    # 2 × workers connections; the measured pipeline must run that too.
-    deployments = []
-    create = load.XSearchDeployment.create
-
-    def spy(**kwargs):
-        deployments.append(create(**kwargs))
-        return deployments[-1]
-
-    monkeypatch.setattr(load.XSearchDeployment, "create", spy)
-    load.run_virtual(topology, rates=(50,), duration_seconds=0.05)
-    assert [d.config.fanout for d in deployments] == [6]
-
-
 def test_four_workers_at_least_double_the_knee(four_workers, one_worker):
     assert one_worker.saturation_rps > 0
     assert four_workers.saturation_rps >= 2 * one_worker.saturation_rps
