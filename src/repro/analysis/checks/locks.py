@@ -44,7 +44,8 @@ LOCK_MAP = {
     },
     "repro.core.scheduler": {
         "RequestScheduler": {
-            "_queue_lock": ("_queue", "_active_sessions", "_closed"),
+            "_queue_lock": ("_queue", "_active_sessions", "_in_flight",
+                            "_closed"),
         },
     },
     "repro.core.gateway": {

@@ -8,8 +8,8 @@
   :class:`~repro.core.proxy.XSearchEnclaveCode` /
   :class:`~repro.core.proxy.XSearchProxyHost`;
 * the attesting client-side broker — :class:`~repro.core.broker.Broker`;
-* the concurrent multi-worker front end —
-  :class:`~repro.core.scheduler.RequestScheduler`;
+* the caller-runs front end that coalesces queued requests into one
+  ecall — :class:`~repro.core.scheduler.RequestScheduler`;
 * the multi-enclave replica cluster and its consistent-hash session
   router — :class:`~repro.core.cluster.XSearchCluster` /
   :class:`~repro.core.cluster.SessionRouter`;

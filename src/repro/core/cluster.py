@@ -4,7 +4,7 @@ The paper evaluates a single X-Search enclave; its answer to "heavy
 traffic from millions of users" is horizontal — CYCLOSA distributes the
 same SGX proxy design across many enclave nodes.  This module is that
 rung: an :class:`XSearchCluster` runs N *independent* replicas (each its
-own :class:`~repro.core.proxy.XSearchProxyHost`, optional
+own :class:`~repro.core.proxy.XSearchProxyHost`,
 :class:`~repro.core.scheduler.RequestScheduler` and sealed history),
 fronted by a :class:`SessionRouter` that consistent-hash-pins every
 broker session to one replica.
@@ -135,25 +135,19 @@ class HashRing:
 
 
 class ReplicaHandle:
-    """One enclave replica: its proxy host and (optional) scheduler.
+    """One enclave replica: its proxy host and the scheduler in front.
 
     Deliberately dumb — health state lives in the router, under the
-    router's locks.  ``frontend`` is what traffic is dispatched to: the
-    replica's scheduler in concurrent mode, else the proxy itself.
+    router's locks.  Traffic is dispatched to the scheduler.
     """
 
     __slots__ = ("replica_id", "index", "proxy", "scheduler")
 
-    def __init__(self, replica_id: str, index: int, proxy,
-                 scheduler=None):
+    def __init__(self, replica_id: str, index: int, proxy, scheduler):
         self.replica_id = replica_id
         self.index = index
         self.proxy = proxy
         self.scheduler = scheduler
-
-    @property
-    def frontend(self):
-        return self.scheduler if self.scheduler is not None else self.proxy
 
     @property
     def measurement(self):
@@ -162,13 +156,11 @@ class ReplicaHandle:
     def close(self) -> None:
         """Stop the scheduler (draining), then the proxy (final
         checkpoint when sealing is on).  Idempotent."""
-        if self.scheduler is not None:
-            self.scheduler.close()
+        self.scheduler.close()
         self.proxy.close()
 
     def __repr__(self) -> str:
-        mode = "scheduled" if self.scheduler is not None else "direct"
-        return f"<replica {self.replica_id} ({mode})>"
+        return f"<replica {self.replica_id}>"
 
 
 class _SessionChannel:
@@ -221,10 +213,10 @@ class _SessionChannel:
 
     def __getattr__(self, name):
         # Read-only passthrough (perf_stats, history_checkpoint, …) to
-        # the pinned replica's frontend.
+        # the pinned replica's scheduler.
         router = self._router
         replica = router.replica_for(self._session_id)
-        return getattr(replica.frontend, name)
+        return getattr(replica.scheduler, name)
 
     def __repr__(self) -> str:
         return (f"<session channel {self._session_id!r} "
@@ -431,7 +423,7 @@ class SessionRouter:
         with span(self._recorder, f"cluster.{name}",
                   placement=PLACEMENT_HOST, replica=replica_id):
             try:
-                result = getattr(replica.frontend, name)(*args, **kwargs)
+                result = getattr(replica.scheduler, name)(*args, **kwargs)
             except EnclaveLostError:
                 self._note_loss(replica_id)
                 raise

@@ -41,6 +41,7 @@ from repro.core.proxy import (
 from repro.core.retry import RetryPolicy
 from repro.core.scheduler import (
     DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_WORKERS,
     RequestScheduler,
 )
 from repro.search.engine import SearchEngine
@@ -73,7 +74,7 @@ class DeploymentConfig:
     key_bits: int = DEFAULT_ATTESTATION_KEY_BITS
     connect: bool = True
     retry_policy: RetryPolicy = None
-    max_workers: int = None
+    max_workers: int = DEFAULT_MAX_WORKERS
     max_batch: int = DEFAULT_MAX_BATCH
     replicas: int = 1
     vnodes: int = DEFAULT_VNODES
@@ -88,8 +89,8 @@ class DeploymentConfig:
             raise ValueError("history_capacity must be >= 1")
         if self.replicas < 1:
             raise ValueError("a deployment needs at least one replica")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be positive (or None)")
+        if self.max_workers is None or self.max_workers < 1:
+            raise ValueError("max_workers must be a positive int")
         if self.vnodes < 1:
             raise ValueError("vnodes must be >= 1")
         if self.failover_threshold < 1:
@@ -101,11 +102,6 @@ class DeploymentConfig:
             object.__setattr__(
                 self, "replica_fault_plans", dict(self.replica_fault_plans)
             )
-
-    @property
-    def concurrent(self) -> bool:
-        """Whether a :class:`RequestScheduler` fronts each replica."""
-        return self.max_workers is not None
 
     def replace(self, **changes) -> "DeploymentConfig":
         """A copy with ``changes`` applied (the config is frozen)."""
@@ -253,15 +249,13 @@ class XSearchDeployment:
                         else f"{base_source}.r{index}"),
                 **options,
             )
-            scheduler = None
-            if config.max_workers is not None:
-                scheduler = RequestScheduler(
-                    proxy,
-                    max_workers=config.max_workers,
-                    max_batch=config.max_batch,
-                    recorder=recorder,
-                    registry=registry,
-                )
+            scheduler = RequestScheduler(
+                proxy,
+                max_workers=config.max_workers,
+                max_batch=config.max_batch,
+                recorder=recorder,
+                registry=registry,
+            )
             return ReplicaHandle(f"replica-{index}", index, proxy,
                                  scheduler)
 
@@ -309,13 +303,12 @@ class XSearchDeployment:
     @property
     def frontend(self):
         """What brokers talk to: the cluster's session router when more
-        than one replica is deployed, otherwise the scheduler when
-        concurrent mode is on (``max_workers=``), otherwise the proxy
-        itself — so a single-replica deployment is byte-identical to
-        previous releases."""
+        than one replica is deployed, otherwise the replica's
+        :class:`RequestScheduler`.  Every request crosses through a
+        scheduler either way: the router dispatches to each replica's."""
         if self.cluster.size > 1:
             return self.cluster.router
-        return self.scheduler if self.scheduler is not None else self.proxy
+        return self.scheduler
 
     @property
     def client(self) -> _ClientFacade:

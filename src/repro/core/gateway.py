@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from repro.crypto.https import TlsServer, decode_frames, encode_frame
 from repro.errors import EngineUnavailableError, NetworkError, scrub
 from repro.faults.plan import (
+    KIND_BUG,
     KIND_DROP,
     KIND_GARBLE,
     KIND_REFUSE,
@@ -178,6 +179,15 @@ class EngineGateway:
                 self._teardown(fd, connection)
                 raise EngineUnavailableError(
                     "injected drop: engine reset the connection mid-send"
+                )
+            if fault.kind == KIND_BUG:
+                # A bug, not an outage: untyped, and its message quotes
+                # the query the way a careless engine's would.  Only
+                # the exception's type may leave the enclave.
+                request_line = bytes(data).split(b"\r\n", 1)[0]
+                raise RuntimeError(
+                    "injected bug while serving "
+                    + urllib.parse.unquote_plus(request_line.decode("latin-1"))
                 )
             raise EngineUnavailableError(
                 f"injected {fault.kind}: send to the engine failed"

@@ -4,8 +4,8 @@ X-Search "does not maintain individual profile structures associated to
 each user.  Instead, it only updates a table containing the last x past
 queries" — a sliding window over *all* users' queries, stored in the
 enclave's protected memory with no correlation to the identity of their
-originating users.  The table is shared among the proxy's worker threads,
-so access is lock-protected.
+originating users.  The table is shared among every thread crossing into
+the enclave, so access is lock-protected.
 
 Because the EPC is bounded (~90 MiB), the window size x bounds memory: the
 table meters its byte footprint against an :class:`EnclaveMemory` when one

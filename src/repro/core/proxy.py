@@ -111,7 +111,7 @@ DEFAULT_K = 3
 DEFAULT_HISTORY_CAPACITY = 100_000
 DEFAULT_MAX_SESSIONS = 10_000
 # Keep-alive connections the enclave holds on to; matches the TCS count
-# so every worker thread can have a warm socket.
+# so every crossing in flight can have a warm socket.
 DEFAULT_POOL_CAPACITY = 8
 _RECV_CHUNK = 1 << 16
 # Metered EPC footprint per session: two 32-byte channel keys, counters
@@ -135,8 +135,11 @@ def _record_error(exc: Exception) -> ReproError:
     )
 
 
-def _unwrap(entries) -> tuple:
-    """The replies of ``request_many`` entries, or the first error."""
+def unwrap_entries(entries) -> tuple:
+    """The replies of ``request_many`` entries, or raise the first error.
+
+    The one spelling of a ticket's outcome: the proxy's own ``request``
+    and ``request_batch`` and the scheduler's tickets all end here."""
     for status, item in entries:
         if status == "err":
             raise item
@@ -1042,14 +1045,14 @@ class XSearchProxyHost:
 
     def request(self, session_id: str, record: bytes) -> bytes:
         """Relay one opaque record: a batch of one."""
-        return _unwrap(self.request_many([(session_id, record)]))[0]
+        return unwrap_entries(self.request_many([(session_id, record)]))[0]
 
     def request_batch(self, batch) -> tuple:
         """Relay a ready-made batch and return its replies in order, or
         raise the first record's error.  One session's batch fails as
         one: a failed batch seals no reply, so its channel stays in
         step with the client."""
-        return _unwrap(self.request_many(batch))
+        return unwrap_entries(self.request_many(batch))
 
     def request_many(self, batch) -> tuple:
         """Relay N opaque ``(session_id, record)`` pairs in one ecall.

@@ -99,7 +99,7 @@ def _arrivals(rate: float, duration_seconds: float, seed: int) -> list:
 class PacedEngine:
     """Wraps a :class:`SearchEngine`, charging a fixed service time per
     exchange.  ``clock.sleep`` releases the GIL, so in wall-clock mode
-    concurrent worker threads genuinely overlap their engine waits — the
+    concurrent crossings genuinely overlap their engine waits — the
     overlap Figure 5's scaling claim is about."""
 
     def __init__(self, engine: SearchEngine, *, latency: float,
@@ -394,8 +394,9 @@ def run_virtual(topology: InProcess, *, rates, duration_seconds: float,
     transition cost of that very batch, the modelled enclave compute,
     and its engine exchanges, which run one after another on the thread
     that made the ecall.  As in
-    :class:`~repro.core.scheduler.RequestScheduler`, a freed worker
-    takes the whole backlog up to ``max_batch``.
+    :class:`~repro.core.scheduler.RequestScheduler`, a submitter that
+    finds a crossing slot free takes the whole backlog up to
+    ``max_batch``.
     """
     recorder = TraceRecorder()
     outputs = hashlib.sha256()

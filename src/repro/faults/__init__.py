@@ -19,6 +19,7 @@ built on top.
 
 from repro.faults.plan import (
     ENGINE_SITES,
+    KIND_BUG,
     KIND_CRASH,
     KIND_DROP,
     KIND_GARBLE,
@@ -63,4 +64,5 @@ __all__ = [
     "KIND_PRESSURE",
     "KIND_TRANSIENT",
     "KIND_SLOWLORIS",
+    "KIND_BUG",
 ]

@@ -71,6 +71,7 @@ KIND_CRASH = "crash"            # ecall: enclave dies on entry
 KIND_PRESSURE = "pressure"      # epc: spike swaps the working set out
 KIND_TRANSIENT = "transient"    # attestation: quoting service hiccup
 KIND_SLOWLORIS = "slowloris"    # server send: reply trickled byte-wise
+KIND_BUG = "bug"                # engine send: untyped error quoting the query
 
 
 @dataclass(frozen=True)

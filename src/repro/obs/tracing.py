@@ -263,8 +263,8 @@ class TraceRecorder:
     ``clock`` supplies timestamps (``clock.time()``).  With the default
     ``clock=None`` timestamps are a *per-thread* monotonic sequence
     counter: every thread numbers the spans of its own trees 1, 2, 3, …
-    independently, so concurrent request trees (the scheduler's worker
-    threads) get the same timestamps no matter how the OS interleaves
+    independently, so concurrent request trees (client threads, each
+    making its own crossings) get the same timestamps no matter how the OS interleaves
     them — which is what the golden-trace tests and the
     :class:`TraceChecker` ordering oracles rely on.  A shared counter
     would leak cross-thread scheduling into the numbers and make

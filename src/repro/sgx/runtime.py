@@ -119,7 +119,8 @@ class CycleCounter:
     / ``sgx.ocall.<name>`` — while this class keeps the facade the
     benchmarks and experiments have always asserted against
     (``counter.ecalls``, ``counter.ocall_counts``, ``snapshot()``).
-    Concurrent ecalls (the request scheduler's worker threads) may call
+    Concurrent ecalls (submitters crossing through the request
+    scheduler, each on its own thread) may call
     :meth:`charge`/:meth:`record` simultaneously, so the per-name caches
     and the multi-field reads of :meth:`snapshot` are guarded by the
     counter's own ``_lock`` — the individual :class:`Counter`

@@ -25,6 +25,7 @@ __all__ = [
     "install",
     "uninstall",
     "current_controller",
+    "wait",
     "SimAwareLock",
 ]
 
@@ -75,6 +76,35 @@ def current_controller():
     return _CONTROLLER
 
 
+def _managing_controller():
+    """The controller when it manages the calling thread, else None."""
+    controller = _CONTROLLER
+    if controller is None or not controller.manages_current():
+        return None
+    return controller
+
+
+def wait(condition, name: str) -> None:
+    """``condition.wait()`` for a caller that holds ``condition``'s lock
+    and re-checks its predicate on return.
+
+    A thread the simulation manages must never block natively: the
+    thread that would notify it cannot run while this one holds the run
+    token.  So it releases the lock, parks at a ``lock.wait:<name>``
+    step and takes the lock back — a spurious wake-up, which every
+    predicate loop tolerates.  Other threads wait natively.
+    """
+    controller = _managing_controller()
+    if controller is None:
+        condition.wait()
+        return
+    condition.release()
+    try:
+        controller.on_step(f"lock.wait:{name}", {})
+    finally:
+        condition.acquire()
+
+
 class SimAwareLock:
     """A mutex that yields to the simulation instead of blocking.
 
@@ -90,8 +120,8 @@ class SimAwareLock:
         self._name = name
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        controller = _CONTROLLER
-        if controller is None or not controller.manages_current():
+        controller = _managing_controller()
+        if controller is None:
             if timeout == -1:
                 return self._inner.acquire(blocking)
             return self._inner.acquire(blocking, timeout)

@@ -39,6 +39,7 @@ from repro.core.cluster import STATE_HEALTHY
 from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.errors import ReproError
 from repro.faults.plan import (
+    KIND_BUG,
     KIND_CRASH,
     KIND_DROP,
     KIND_PRESSURE,
@@ -78,6 +79,7 @@ _OP_CYCLE = ("search", "search", "batch", "ingest")
 
 #: Chaos vocabulary, with exploration weights.  "outage" is a toggle:
 #: the first occurrence blacks the engine out, the next restores it.
+#: "bug" arms one untyped engine error whose message quotes the query.
 CHAOS_ACTIONS = {
     "kill": 2,
     "crash": 2,
@@ -86,7 +88,14 @@ CHAOS_ACTIONS = {
     "checkpoint": 2,
     "advance": 3,
     "add": 1,
+    "bug": 1,
 }
+
+#: Crossing slots per replica in every world.  Two lets crossings
+#: overlap inside one enclave, which is what the planted
+#: ``history-unlocked`` bug needs to show; with one, crossings never
+#: overlap and that mutation goes uncaught.
+SIM_MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -324,6 +333,10 @@ def _run_chaos_action(world: SimWorld, action: str) -> None:
                     plan.block(SITE_ENGINE_SEND, KIND_TIMEOUT),
                     plan.block(SITE_ENGINE_RECV, KIND_DROP),
                 ]))
+    elif action == "bug" and healthy:
+        index = _replica_index(healthy[0])
+        if index in world.plans:
+            world.plans[index].trigger(SITE_ENGINE_SEND, KIND_BUG)
     elif action == "pressure" and healthy:
         index = _replica_index(healthy[0])
         if index in world.plans:
@@ -380,6 +393,7 @@ def run_sim(spec: WorldSpec, *, attestation=None, engine=None,
         history_capacity=spec.history_capacity,
         seed=spec.seed,
         replicas=spec.replicas,
+        max_workers=SIM_MAX_WORKERS,
         failover_threshold=spec.failover_threshold,
         replica_fault_plans=plans,
         # The default broker would mint a random session id and perturb

@@ -12,6 +12,7 @@ from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.errors import EnclaveError, EnclaveLostError, TransientError
 from repro.faults import (
     ENGINE_SITES,
+    KIND_BUG,
     KIND_CRASH,
     KIND_DROP,
     KIND_GARBLE,
@@ -142,6 +143,23 @@ def test_single_transport_fault_is_absorbed_by_retry(site, kind):
         # Serving recovered on a fresh connection — live, not degraded.
         assert not deployment.client.last_degraded
         assert retried == baseline
+
+
+def test_untyped_engine_bug_fails_only_its_search_and_names_only_its_type():
+    """An engine bug is not a transport fault: nothing retries it, the
+    search fails with an ``EnclaveError`` that names only the exception
+    type (the raised message quotes the query), and the next search on
+    the same session is served."""
+    plan = FaultPlan(seed=0)
+    deployment = faulty_deployment(plan)
+    with deployment:
+        plan.trigger(SITE_ENGINE_SEND, KIND_BUG)
+        with pytest.raises(EnclaveError) as caught:
+            deployment.client.search("secret bug query", limit=5)
+        assert "RuntimeError" in str(caught.value)
+        assert "secret bug query" not in str(caught.value)
+        assert [fault.kind for fault in plan.trace] == [KIND_BUG]
+        assert deployment.client.search("cheap hotel rome", limit=5)
 
 
 def test_outage_serves_degraded_from_cache_then_recovers():

@@ -1,12 +1,11 @@
 """Regression: concurrent ``XSearchDeployment.close()`` vs. a dispatch.
 
-The latent race: two threads call ``close()`` while a scheduler worker
-sits between collecting a batch and issuing its ecall.  Before the fix,
-only the closer that flipped the ``_closed`` flag joined the workers;
-any other closer raced ahead and tore the proxy down under the worker,
-failing an in-flight request the drain had promised to finish.  The sim
-step hook at ``scheduler.batch`` parks the worker exactly in that
-window so the race is driven deterministically.
+The latent race: two threads call ``close()`` while a submitter sits
+between taking a batch and issuing its ecall.  A closer that did not
+wait for that crossing would tear the proxy down under it, failing an
+in-flight request the drain had promised to finish.  The sim step hook
+at ``scheduler.batch`` parks the submitter exactly in that window so
+the race is driven deterministically.
 """
 
 from __future__ import annotations
@@ -19,10 +18,14 @@ from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.sim import hooks
 
 
+#: The thread that submits the search, and so makes its crossing.
+SEARCHER = "searcher"
+
+
 class _ParkAtBatch:
-    """A step controller that parks scheduler workers at the dispatch
-    hook until released.  ``step()`` routes every thread's yields here,
-    so the controller filters to the threads it means to hold."""
+    """A step controller that parks the searcher at the dispatch hook
+    until released.  ``step()`` routes every thread's yields here, so
+    the controller filters to the thread it means to hold."""
 
     def __init__(self):
         self.parked = threading.Event()
@@ -36,8 +39,7 @@ class _ParkAtBatch:
     def on_step(self, site, info):
         if site != "scheduler.batch":
             return
-        if not threading.current_thread().name.startswith(
-                "xsearch-scheduler"):
+        if threading.current_thread().name != SEARCHER:
             return
         self.parked.set()
         assert self.release.wait(timeout=30), "controller never released"
@@ -75,15 +77,17 @@ def test_concurrent_close_waits_for_inflight_dispatch(parked_controller):
         except Exception as exc:  # noqa: BLE001 - recorded for the assert
             outcome["error"] = exc
 
-    searcher = threading.Thread(target=do_search, daemon=True)
+    searcher = threading.Thread(target=do_search, name=SEARCHER,
+                                daemon=True)
     searcher.start()
-    assert controller.parked.wait(timeout=30), "worker never reached batch"
+    assert controller.parked.wait(timeout=30), (
+        "searcher never reached batch")
 
     closers = [threading.Thread(target=deployment.close, daemon=True)
                for _ in range(2)]
     for thread in closers:
         thread.start()
-    # Both closers must wait for the parked worker — neither may finish
+    # Both closers must wait for the parked crossing — neither may finish
     # while the dispatch is still in flight.
     assert not _poll(lambda: any(not t.is_alive() for t in closers))
 

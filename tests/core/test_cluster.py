@@ -344,8 +344,8 @@ def test_remove_replica_drains_gracefully():
 # ----------------------------------------------------------------------
 def test_minted_clients_share_the_single_replica_frontend():
     # Regression guard: minted clients must go through
-    # deployment.frontend — the scheduler in concurrent mode — never
-    # straight at a proxy (which would bypass coalescing).
+    # deployment.frontend — the replica's scheduler — never straight at
+    # a proxy (which would bypass coalescing).
     config = DeploymentConfig(seed=11, k=2, max_workers=2)
     with XSearchDeployment.create(config=config) as deployment:
         assert deployment.frontend is deployment.scheduler

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 from repro.core import DeploymentConfig, XSearchDeployment
+from repro.core.scheduler import DEFAULT_MAX_WORKERS
 from repro.faults import FaultPlan
 
 
@@ -32,6 +33,8 @@ def test_config_validates_its_fields():
     with pytest.raises(ValueError):
         DeploymentConfig(max_workers=0)
     with pytest.raises(ValueError):
+        DeploymentConfig(max_workers=None)
+    with pytest.raises(ValueError):
         DeploymentConfig(vnodes=0)
     with pytest.raises(ValueError):
         DeploymentConfig(failover_threshold=0)
@@ -51,9 +54,12 @@ def test_replace_builds_a_new_value():
     assert base.replicas == 1  # untouched
 
 
-def test_concurrent_property_tracks_max_workers():
-    assert not DeploymentConfig().concurrent
-    assert DeploymentConfig(max_workers=2).concurrent
+def test_max_workers_none_is_rejected():
+    # There is no direct mode: every deployment crosses through a
+    # scheduler, so None is not a worker count.
+    with pytest.raises(ValueError, match="max_workers"):
+        DeploymentConfig(max_workers=None)
+    assert DeploymentConfig().max_workers == DEFAULT_MAX_WORKERS
 
 
 # ----------------------------------------------------------------------
@@ -83,13 +89,13 @@ def test_proxy_passthroughs_ride_in_proxy_options():
 # ----------------------------------------------------------------------
 # Uniform cluster surface
 # ----------------------------------------------------------------------
-def test_single_replica_deployment_keeps_the_classic_frontend():
+def test_single_replica_deployment_fronts_its_scheduler():
     config = DeploymentConfig(seed=11, k=2, connect=False)
     with XSearchDeployment.create(config=config) as deployment:
         assert deployment.cluster.size == 1
-        # replicas=1 must stay byte-identical to previous releases: the
-        # frontend is the proxy itself, not the router.
-        assert deployment.frontend is deployment.proxy
+        # One replica needs no router: brokers talk to its scheduler.
+        assert deployment.frontend is deployment.scheduler
+        assert deployment.scheduler is deployment.cluster.replicas[0].scheduler
 
 
 def test_multi_replica_deployment_fronts_the_router():

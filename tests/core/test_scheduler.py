@@ -1,10 +1,9 @@
-"""RequestScheduler: coalescing without a timed wait, per-session FIFO,
-failure isolation (untyped failures included), replayed records, worker
-survival and shutdown semantics.
+"""RequestScheduler: caller-runs crossings, coalescing without a timed
+wait, per-session FIFO, failure isolation (untyped failures included),
+replayed records and shutdown semantics.
 
 The policy tests run against a scripted fake proxy (deterministic, no
-threads inside), the integration tests against a real deployment in
-concurrent mode.
+threads inside), the integration tests against a real deployment.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ class FakeProxy:
 
     def __init__(self, *, fail_sessions=(), gate=None):
         self.calls = []
+        self.threads = []                   # the thread making each call
         self.called = threading.Event()     # set by the first call
         self.fail_sessions = set(fail_sessions)
         self.gate = gate            # threading.Event the first call waits on
@@ -52,6 +52,7 @@ class FakeProxy:
         batch = tuple(batch)
         with self._lock:
             self.calls.append(("request_many", batch))
+            self.threads.append(threading.current_thread())
         self.called.set()
         self._maybe_wait()
         entries = []
@@ -107,22 +108,31 @@ def wait_for_call(proxy):
     assert proxy.called.wait(timeout=5.0), "the proxy was never called"
 
 
+def poll(predicate, *, steps=1000, tick=0.005) -> bool:
+    """Whether ``predicate`` holds within ``steps`` ticks.  Polls with
+    a private event, so it never waits on the scheduler's condition."""
+    pause = threading.Event()
+    for _ in range(steps):
+        if predicate():
+            return True
+        pause.wait(tick)
+    return predicate()
+
+
 def wait_for_queue(scheduler, length):
     """Block until ``length`` tickets are queued; fail after 5 s."""
-    with scheduler._queue_lock:
-        assert scheduler._queue_lock.wait_for(
-            lambda: len(scheduler._queue) >= length, timeout=5.0
-        ), f"the queue never reached {length} tickets"
+    assert poll(lambda: len(scheduler._queue) >= length), (
+        f"the queue never reached {length} tickets")
 
 
 def records_of(proxy, method):
     return [call for name, call in proxy.calls if name == method]
 
 
-def cross_behind_a_held_worker(scheduler, proxy, gate, sessions):
-    """Hold the only worker inside a gated proxy call, queue one record
-    per session behind it (in ``sessions`` order), then open the gate.
-    Returns the replies by session."""
+def cross_behind_a_held_crossing(scheduler, proxy, gate, sessions):
+    """Hold the only crossing slot inside a gated proxy call, queue one
+    record per session behind it (in ``sessions`` order), then open the
+    gate.  Returns the replies by session."""
     replies = {}
 
     def submit(sid):
@@ -183,8 +193,8 @@ def test_queued_records_cross_as_one_request_many_once_the_gate_opens():
     gate = threading.Event()
     proxy = FakeProxy(gate=gate)
     with RequestScheduler(proxy, max_workers=1) as scheduler:
-        replies = cross_behind_a_held_worker(scheduler, proxy, gate,
-                                             ("a", "b", "c"))
+        replies = cross_behind_a_held_crossing(scheduler, proxy, gate,
+                                               ("a", "b", "c"))
     assert replies == {sid: b"reply:" + sid.encode()
                        for sid in ("head", "a", "b", "c")}
     assert proxy.calls == [
@@ -200,7 +210,8 @@ def test_one_session_never_has_two_tickets_in_one_crossing():
     gate = threading.Event()
     proxy = FakeProxy(gate=gate)
     with RequestScheduler(proxy, max_workers=1) as scheduler:
-        cross_behind_a_held_worker(scheduler, proxy, gate, ("a", "a", "b"))
+        cross_behind_a_held_crossing(scheduler, proxy, gate,
+                                     ("a", "a", "b"))
     assert proxy.calls == [
         ("request_many", (("head", b"head"),)),
         ("request_many", (("a", b"a"), ("b", b"b"))),
@@ -209,21 +220,21 @@ def test_one_session_never_has_two_tickets_in_one_crossing():
 
 
 def test_collect_never_waits_with_a_timeout(monkeypatch):
-    """A worker that finds a backlog crosses at once: the only wait in
-    the scheduler is for work to exist, never a timed linger."""
+    """A combiner that finds a backlog crosses at once: the only wait in
+    the scheduler is for a crossing slot or a ticket's outcome, and no
+    thread ever waits with a timeout (a timed linger)."""
     gate = threading.Event()
     proxy = FakeProxy(gate=gate)
     with monkeypatch.context() as patch:
         patch.setattr(threading, "Condition", RecordingCondition)
         scheduler = RequestScheduler(proxy, max_workers=1)
     with scheduler:
-        cross_behind_a_held_worker(scheduler, proxy, gate, ("a", "b", "c"))
+        cross_behind_a_held_crossing(scheduler, proxy, gate,
+                                     ("a", "b", "c"))
     condition = scheduler._queue_lock
     assert isinstance(condition, RecordingCondition)
-    worker_waits = [timeout for name, timeout in condition.timeouts
-                    if name.startswith("xsearch-scheduler-")]
-    assert worker_waits                 # the worker did wait for work
-    assert all(timeout is None for timeout in worker_waits)
+    assert condition.timeouts           # the queued submitters waited
+    assert all(timeout is None for _name, timeout in condition.timeouts)
     assert [len(call) for call in records_of(proxy, "request_many")] == [1, 3]
 
 
@@ -294,7 +305,7 @@ def test_untyped_proxy_failure_is_typed_and_keeps_the_worker():
         assert "RuntimeError" in str(caught.value)
         assert ExplodingProxy.SECRET not in str(caught.value)
         assert registry.counter("scheduler.errors").value == 1
-        # The only worker survived: the next request is served.
+        # The crossing slot was given back: the next request is served.
         replies = []
         second = threading.Thread(
             target=lambda: replies.append(scheduler.request("s", b"next")),
@@ -329,13 +340,90 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         RequestScheduler(proxy, max_workers=0)
     with pytest.raises(ValueError):
+        RequestScheduler(proxy, max_workers=None)
+    with pytest.raises(ValueError):
         RequestScheduler(proxy, max_batch=0)
     with pytest.raises(ValueError):
         RequestScheduler(proxy, queue_capacity=0)
 
 
+def test_a_crossing_runs_on_its_submitters_thread():
+    """The submitter makes its own crossing, and the scheduler starts
+    no thread of its own."""
+    before = set(threading.enumerate())
+    proxy = FakeProxy()
+    with RequestScheduler(proxy, max_workers=2) as scheduler:
+        assert set(threading.enumerate()) <= before
+        assert scheduler.request("s1", b"r1") == b"reply:r1"
+        assert scheduler.request_batch([("s2", b"r2")]) == (b"reply:r2",)
+    assert proxy.threads == [threading.current_thread()] * 2
+    assert set(threading.enumerate()) <= before
+
+
+def test_queued_sessions_cross_as_one_batch_once_the_combiner_leaves():
+    """With one slot held, three queued sessions wait; when the holding
+    combiner leaves, one of their submitters takes all three across in
+    one crossing, on its own thread."""
+    gate = threading.Event()
+    proxy = FakeProxy(gate=gate)
+    replies = {}
+
+    def submit(sid):
+        replies[sid] = scheduler.request(sid, sid.encode())
+
+    with RequestScheduler(proxy, max_workers=1) as scheduler:
+        head = threading.Thread(target=submit, args=("head",),
+                                name="submitter-head")
+        head.start()
+        wait_for_call(proxy)
+        queued = [threading.Thread(target=submit, args=(sid,),
+                                   name=f"submitter-{sid}")
+                  for sid in ("a", "b", "c")]
+        for count, thread in enumerate(queued, start=1):
+            thread.start()
+            wait_for_queue(scheduler, count)
+        assert scheduler._in_flight == 1
+        gate.set()
+        for thread in [head] + queued:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+    assert replies == {sid: b"reply:" + sid.encode()
+                       for sid in ("head", "a", "b", "c")}
+    assert [len(call) for call in records_of(proxy, "request_many")] == [
+        1, 3]
+    crossers = [thread.name for thread in proxy.threads]
+    assert crossers[0] == "submitter-head"
+    assert crossers[1] in {"submitter-a", "submitter-b", "submitter-c"}
+
+
+def test_close_waits_for_a_crossing_in_flight_on_another_thread():
+    gate = threading.Event()
+    proxy = FakeProxy(gate=gate)
+    scheduler = RequestScheduler(proxy, max_workers=1)
+    replies = []
+    submitter = threading.Thread(
+        target=lambda: replies.append(scheduler.request("s", b"r")))
+    submitter.start()
+    wait_for_call(proxy)
+    closer = threading.Thread(
+        target=lambda: scheduler.close(close_proxy=True))
+    closer.start()
+    # The closer must not return, nor close the proxy, while the
+    # crossing is still in flight.
+    assert not poll(lambda: not closer.is_alive(), steps=40)
+    assert not proxy.closed
+    gate.set()
+    for thread in (submitter, closer):
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    assert replies == [b"reply:r"]
+    assert proxy.closed and scheduler._in_flight == 0
+    with pytest.raises(EnclaveError):
+        scheduler.request("s", b"later")
+
+
 # ----------------------------------------------------------------------
-# Integration: the real pipeline in concurrent mode
+# Integration: the real pipeline
 # ----------------------------------------------------------------------
 def test_concurrent_deployment_serves_many_clients():
     config = DeploymentConfig(seed=5, k=2, max_workers=3, max_batch=4)
@@ -565,8 +653,14 @@ def test_duplicate_record_ends_in_the_replay_error(small_engine):
     proxy.close()
 
 
-def test_default_deployment_has_no_scheduler():
+def test_default_frontend_is_a_request_scheduler():
+    before = set(threading.enumerate())
     with XSearchDeployment.create(
             config=DeploymentConfig(seed=5, k=2)) as deployment:
-        assert deployment.scheduler is None
-        assert deployment.frontend is deployment.proxy
+        assert isinstance(deployment.frontend, RequestScheduler)
+        assert deployment.frontend is deployment.scheduler
+        assert deployment.scheduler.proxy is deployment.proxy
+        # Neither the scheduler nor anything else in the deployment
+        # starts a thread: every crossing runs on its submitter's.
+        assert deployment.client.search("cheap hotel rome", limit=3)
+        assert set(threading.enumerate()) <= before

@@ -1,7 +1,7 @@
 """Satellite stress test: the concurrent scheduler under injected
 faults.
 
-N worker threads × M client threads drive a real deployment while a
+M client threads, crossing through N slots, drive a real deployment while a
 seeded :class:`FaultPlan` mixes engine outages with one enclave crash.
 The invariant under test is *exactly-one-outcome*: every submitted
 request terminates in exactly one of

@@ -72,6 +72,22 @@ def test_a_respawn_that_yields_under_the_enclave_lock_completes():
     assert [report.violations for report in reports] == [[], []]
 
 
+def test_an_untyped_engine_bug_ends_in_one_scrubbed_error():
+    """The "bug" chaos action arms one engine send that raises a
+    ``RuntimeError`` quoting the query.  The search it hits ends in
+    exactly one typed outcome, every oracle holds, and the error the
+    host relays names only the exception type."""
+    report = run_sim(WorldSpec(seed=0, replicas=1, chaos=("bug",)))
+    assert report.violations == []
+    assert ("engine.send", "bug", 0) in report.trace.faults
+    failed = [op for op in report.trace.ops if op[2] != "reply"]
+    assert [outcome for _client, _op, outcome, _detail in failed] == [
+        "error:EnclaveError"]
+    detail = failed[0][3]
+    assert "RuntimeError" in detail
+    assert "sim query" not in detail
+
+
 def test_sealed_convergence_counts_the_absorb_of_a_racing_failover():
     """A client's failover retires the second kill's victim first and
     replays its checkpoint after the chaos kill has returned: the
