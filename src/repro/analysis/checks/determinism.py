@@ -23,10 +23,12 @@ import ast
 from repro.analysis.lint import Checker, register_checker
 from repro.analysis import placement as P
 
-#: ``time`` module functions that read or block on the wall clock.
+#: ``time`` module functions that read or block on the wall clock, or
+#: read a CPU clock (as nondeterministic as the wall clock).
 _WALL_CLOCK_FUNCS = frozenset({
     "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
-    "perf_counter_ns", "process_time", "localtime", "gmtime", "sleep",
+    "perf_counter_ns", "process_time", "process_time_ns", "thread_time",
+    "thread_time_ns", "localtime", "gmtime", "sleep",
 })
 
 #: ``datetime``-family constructors that capture "now".

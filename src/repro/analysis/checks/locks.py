@@ -23,6 +23,11 @@ from repro.analysis.lint import Checker, register_checker
 
 #: module -> class -> lock attribute -> guarded attributes.
 LOCK_MAP = {
+    "repro.core.broker": {
+        "Broker": {
+            "_exchange_lock": ("_endpoint", "_session_id", "_proxy"),
+        },
+    },
     "repro.core.cluster": {
         "SessionRouter": {
             "_ring_lock": ("_ring", "_pins", "_displaced", "_replicas",
@@ -66,7 +71,7 @@ LOCK_MAP = {
     },
     "repro.netserve.server": {
         "XSearchServer": {
-            "_state_lock": ("_state", "_connections", "_inflight"),
+            "_state_lock": ("_state", "_connections"),
         },
     },
     "repro.netserve.client": {
@@ -97,6 +102,8 @@ LOCK_MAP = {
 #: Sanctioned acquisition order, outermost first.  Acquiring a lock
 #: whose rank is *earlier* than one already held inverts the order.
 LOCK_ORDER = (
+    "_exchange_lock",   # broker, seal to open: held into the scheduler's
+                        # queue lock and the client transport's I/O lock
     "_io_lock",         # client transport: never held into the server
     "_state_lock",      # server admission: leaf on the serving side —
                         # dispatch into the deployment runs outside it

@@ -22,6 +22,12 @@ session id, re-encrypts the request under the new channel keys and
 retries, all under its :class:`~repro.core.retry.RetryPolicy`.  Transient
 attestation-service hiccups during ``connect()`` are retried the same
 way.
+
+A broker may be shared by threads.  The channel's nonces are strict
+counters, so records must reach the enclave in the order they were
+sealed: one lock, held from seal to open (heals and connects
+included), keeps at most one record of the session in flight and
+serialises the broker's own requests.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ class Broker:
     initial session and every heal) so deterministic simulations can
     pin the whole session-id stream; production brokers keep the
     cryptographically random default.
+
+    ``_exchange_lock`` is held from sealing a record to opening its
+    reply, heals included, so the session's endpoint, id and channel
+    only change under it.  An uncontended acquire takes no simulation
+    step.
     """
 
     #: Whether the most recent response was served in degraded mode.
@@ -75,6 +86,7 @@ class Broker:
                  recorder=None, registry=None):
         self._recorder = recorder
         self._registry = registry
+        self._exchange_lock = hooks.SimAwareLock("broker")
         self._verifier = RemoteVerifier(service_public_key, expected_measurement)
         self._session_ids = session_ids
         self._session_id = (
@@ -109,21 +121,32 @@ class Broker:
         broker's policy); a *verification* failure — wrong measurement,
         bad signature — is never retried.
         """
-        if self._endpoint is not None:
-            raise ProtocolError("broker is already connected")
+        with self._exchange_lock:
+            if self._endpoint is not None:
+                raise ProtocolError("broker is already connected")
+            self._connect_locked(retry_policy)
+
+    def _ensure_connected(self) -> None:
+        """Connect unless already connected — the client facade's lazy
+        connect, which threads sharing the broker may race to make."""
+        with self._exchange_lock:
+            if self._endpoint is None:
+                self._connect_locked(None)
+
+    def _connect_locked(self, retry_policy) -> None:
         policy = retry_policy if retry_policy is not None else self._retry_policy
         with span(self._recorder, "broker.connect",
                   placement=PLACEMENT_CLIENT,
                   **{"retry.max_attempts": policy.max_attempts}):
             call_with_retry(
-                self._connect_once,
+                self._connect_once_locked,
                 policy=policy,
                 clock=self._clock,
                 retry_on=(TransientError,),
                 on_retry=self._on_connect_retry,
             )
 
-    def _connect_once(self) -> None:
+    def _connect_once_locked(self) -> None:
         verdict = self._proxy.attestation_evidence()
         enclave_public = self._proxy.channel_public()
         self._verifier.verify(
@@ -157,7 +180,7 @@ class Broker:
     def _on_connect_retry(self, attempt: int, exc: Exception) -> None:
         event(self._recorder, "retry", attempt=attempt,
               error=type(exc).__name__)
-        self._reset_session_for_retry(exc)
+        self._reset_session_locked(exc)
 
     def _on_heal_connect_retry(self, attempt: int, exc: Exception) -> None:
         # The heal's inner connect loop is a *nested* retry with its own
@@ -165,9 +188,9 @@ class Broker:
         # "retry" events stay countable against the root span's budget.
         event(self._recorder, "connect.retry", attempt=attempt,
               error=type(exc).__name__)
-        self._reset_session_for_retry(exc)
+        self._reset_session_locked(exc)
 
-    def _reset_session_for_retry(self, exc: Exception) -> None:
+    def _reset_session_locked(self, exc: Exception) -> None:
         if isinstance(exc, EnclaveLostError):
             # The session id may be half-established on some enclave (or
             # pinned to a dead replica); restart under a fresh id so the
@@ -181,7 +204,7 @@ class Broker:
             return self._session_ids()
         return secrets.token_hex(8)
 
-    def _heal(self, attempt: int, exc: Exception) -> None:
+    def _heal_locked(self, attempt: int, exc: Exception) -> None:
         """Recover from an enclave loss between retry attempts.
 
         The respawned enclave has fresh channel keys and an empty session
@@ -206,7 +229,7 @@ class Broker:
         if self._registry is not None:
             self._registry.counter("broker.heals").inc()
         call_with_retry(
-            self._connect_once,
+            self._connect_once_locked,
             policy=self._retry_policy,
             clock=self._clock,
             retry_on=(TransientError,),
@@ -215,7 +238,8 @@ class Broker:
 
     @property
     def is_connected(self) -> bool:
-        return self._endpoint is not None
+        with self._exchange_lock:
+            return self._endpoint is not None
 
     # ------------------------------------------------------------------
     # Query path
@@ -271,7 +295,7 @@ class Broker:
         deadline = self._deadline(timeout)
 
         def attempt():
-            endpoint = self._require_connected()
+            endpoint = self._require_connected_locked()
             records = [
                 endpoint.encrypt(SearchRequest(query, limit).encode())
                 for query in queries
@@ -336,7 +360,7 @@ class Broker:
         deadline = self._deadline(timeout)
 
         def attempt():
-            endpoint = self._require_connected()
+            endpoint = self._require_connected_locked()
             record = endpoint.encrypt(build_plaintext(endpoint))
             reply = self._proxy.request(self._session_id, record)
             return endpoint.decrypt(reply)
@@ -346,7 +370,8 @@ class Broker:
         )
 
     def _recover(self, attempt, *, policy, deadline):
-        """Run one query attempt under the heal-on-enclave-loss policy.
+        """Run one query attempt under the heal-on-enclave-loss policy,
+        holding the exchange lock throughout.
 
         When even the heals run out, the session is abandoned outright:
         the final failed attempt consumed channel nonces the enclave
@@ -354,20 +379,22 @@ class Broker:
         on an authentication failure.  Dropping it makes the next call
         start from a clean attested handshake instead.
         """
-        try:
-            return call_with_retry(
-                attempt, policy=policy, clock=self._clock,
-                retry_on=(EnclaveLostError,), deadline=deadline,
-                on_retry=self._heal,
-            )
-        except RetryExhaustedError as exc:
-            if isinstance(exc.last_cause, EnclaveLostError):
-                self._endpoint = None
-                self.attested = False
-                self._session_id = self._mint_session_id()
-                if self._router is not None:
-                    self._proxy = self._router.for_session(self._session_id)
-            raise
+        with self._exchange_lock:
+            try:
+                return call_with_retry(
+                    attempt, policy=policy, clock=self._clock,
+                    retry_on=(EnclaveLostError,), deadline=deadline,
+                    on_retry=self._heal_locked,
+                )
+            except RetryExhaustedError as exc:
+                if isinstance(exc.last_cause, EnclaveLostError):
+                    self._endpoint = None
+                    self.attested = False
+                    self._session_id = self._mint_session_id()
+                    if self._router is not None:
+                        self._proxy = self._router.for_session(
+                            self._session_id)
+                raise
 
     def _latency_timer(self, name: str):
         """A metrics timer for one broker operation (inert without a
@@ -391,7 +418,7 @@ class Broker:
             clock = _SYSTEM_CLOCK
         return clock.time() + timeout
 
-    def _require_connected(self):
+    def _require_connected_locked(self):
         if self._endpoint is None:
             raise AttestationError(
                 "broker is not connected: call connect() (attestation) first"

@@ -38,8 +38,7 @@ class XSearchClient:
         """Execute a private web search through the local broker."""
         if not query or not query.strip():
             raise ProtocolError("cannot search an empty query")
-        if not self._broker.is_connected:
-            self._broker.connect()
+        self._broker._ensure_connected()
         self.queries_sent += 1
         return self._broker.search(
             query.strip(), limit=limit, timeout=timeout,
@@ -59,8 +58,7 @@ class XSearchClient:
             return []
         if any(not query for query in queries):
             raise ProtocolError("cannot search empty queries")
-        if not self._broker.is_connected:
-            self._broker.connect()
+        self._broker._ensure_connected()
         self.queries_sent += len(queries)
         return self._broker.search_batch(
             queries, limit=limit, timeout=timeout,

@@ -16,8 +16,11 @@ once.  :class:`RequestScheduler` has the same shape in front of
   ``request_many`` ecall for all of them on its own thread, resolves
   them, and repeats until its own ticket is resolved.  Otherwise it
   waits, and a waiter that wakes while a slot is free becomes a
-  combiner in turn.  The queue is bounded (``queue_capacity``), so a
-  flood of clients applies backpressure at the door.
+  combiner in turn.  Every queued ticket belongs to a thread blocked
+  in ``request`` or ``request_batch``, so the queue is never longer
+  than the number of submitting threads and needs no cap of its own;
+  admission happens in front of it (the server's connection cap) and
+  at it (``max_workers``).
 * **ecall coalescing without waiting** — tickets that queue up while
   every slot is busy cross together in the next combiner's single
   ``request_many`` ecall (one metered enclave transition amortised
@@ -68,7 +71,6 @@ from repro.sim import hooks
 
 DEFAULT_MAX_WORKERS = 4
 DEFAULT_MAX_BATCH = 8
-DEFAULT_QUEUE_CAPACITY = 1024
 
 
 class _Ticket:
@@ -85,7 +87,7 @@ class _Ticket:
 
 
 class RequestScheduler:
-    """Bounded-queue, caller-runs executor over a proxy host.
+    """Caller-runs executor over a proxy host.
 
     Drop-in for the proxy on the broker side: ``request`` and
     ``request_batch`` enqueue and return once the reply is ready, having
@@ -98,18 +100,14 @@ class RequestScheduler:
 
     def __init__(self, proxy, *, max_workers: int = DEFAULT_MAX_WORKERS,
                  max_batch: int = DEFAULT_MAX_BATCH,
-                 queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  recorder=None, registry=None):
         if max_workers is None or max_workers < 1:
             raise ValueError("max_workers must be a positive int")
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if queue_capacity < 1:
-            raise ValueError("queue_capacity must be positive")
         self.proxy = proxy
         self.max_workers = max_workers
         self.max_batch = max_batch
-        self.queue_capacity = queue_capacity
         self._recorder = recorder
         self._registry = registry
         # One condition guards all queue state: the ticket queue, the
@@ -190,12 +188,8 @@ class RequestScheduler:
         """
         ticket = _Ticket(records)
         with self._queue_lock:
-            while True:
-                if self._closed:
-                    raise EnclaveError("request scheduler is closed")
-                if len(self._queue) < self.queue_capacity:
-                    break
-                hooks.wait(self._queue_lock, "scheduler")
+            if self._closed:
+                raise EnclaveError("request scheduler is closed")
             self._queue.append(ticket)
             self._count("scheduler.submitted", len(records))
             while ticket.entries is None:
@@ -260,8 +254,6 @@ class RequestScheduler:
                 break
         kept.extend(self._queue)
         self._queue = kept
-        if batch:
-            self._queue_lock.notify_all()   # capacity freed for submitters
         return batch
 
     def _execute(self, batch) -> list:

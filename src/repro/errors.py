@@ -116,17 +116,17 @@ class ConnectionLostError(EnclaveLostError):
 
 
 class ServerBusyError(EnclaveLostError):
-    """A serving front-end shed the request (admission control).
+    """A serving front-end turned the connection away (admission
+    control at accept: its connection cap was reached).
 
-    ``retry_after`` is the server's backoff hint in seconds.  The shed
-    request was *never dispatched* — the server-side channel state did
-    not advance — so the transport may re-send the identical ciphertext
-    after the hint.  But once this error escapes the transport's busy
-    budget, the *client* side has already consumed a nonce the enclave
-    will never see, and the strict-counter channel is desynchronised
-    for good.  Subclassing :class:`EnclaveLostError` encodes that: the
-    broker recovers by re-attesting under a fresh session, exactly as
-    for any other lost channel.
+    ``retry_after`` is the server's backoff hint in seconds.  The
+    transport reconnects after the hint, and raises this only once its
+    busy budget is spent.  No request was sent on a rebuffed
+    connection, but the call that needed it may sit in the middle of a
+    heal or a search whose record is already sealed.  Subclassing
+    :class:`EnclaveLostError` encodes that: the broker recovers by
+    re-attesting under a fresh session, exactly as for any other lost
+    channel.
     """
 
     def __init__(self, message: str = "server is at capacity", *,

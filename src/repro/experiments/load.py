@@ -126,9 +126,7 @@ class PacedEngine:
 @dataclass(frozen=True)
 class LoadPoint:
     """One offered rate of a sweep.  ``requests`` counts completed
-    searches, ``errors`` the ones that raised, and ``sheds`` the
-    requests and connections the TCP server refused (0 in-process, and
-    in virtual mode, whose one serial client is never refused)."""
+    searches and ``errors`` the ones that raised."""
 
     offered_rps: float
     achieved_rps: float
@@ -137,7 +135,6 @@ class LoadPoint:
     p99_latency: float
     requests: int
     errors: int
-    sheds: int
     ecalls: int
     mean_batch_size: float
     batch_histogram: dict  # batch size -> count (virtual mode only)
@@ -437,7 +434,7 @@ def run_virtual(topology: InProcess, *, rates, duration_seconds: float,
                 batch_sizes.append(size)
                 heapq.heappush(workers, done)
             points.append(_point(
-                rate, latencies, completions, errors=0, sheds=0,
+                rate, latencies, completions, errors=0,
                 ecalls=enclave.boundary_snapshot().ecalls - ecalls_before,
                 mean_batch_size=(sum(batch_sizes) / len(batch_sizes)
                                  if batch_sizes else 0.0),
@@ -490,8 +487,7 @@ class _Lane(threading.Thread):
 
 
 def _counters(deployment) -> tuple:
-    """(request ecalls, scheduler batches, scheduled records, server
-    sheds) so far.
+    """(request ecalls, scheduler batches, scheduled records) so far.
 
     Replicas share the deployment's registry, and the cycle counter
     stores its counts there, so one replica's boundary snapshot already
@@ -501,8 +497,7 @@ def _counters(deployment) -> tuple:
     registry = deployment.registry
     return (counts.get(REQUEST_ECALL, 0),
             registry.counter("scheduler.batches").value,
-            registry.counter("scheduler.submitted").value,
-            registry.counter("server.sheds").value)
+            registry.counter("scheduler.submitted").value)
 
 
 def run_wall(topology, *, rates, duration_seconds: float,
@@ -538,14 +533,13 @@ def run_wall(topology, *, rates, duration_seconds: float,
                 lane.start()
             for lane in lane_objs:
                 lane.join()
-            ecalls, batches, records, sheds = (
+            ecalls, batches, records = (
                 now - then for now, then in zip(_counters(deployment), before))
             points.append(_point(
                 rate,
                 [t for lane in lane_objs for t in lane.latencies],
                 [t for lane in lane_objs for t in lane.completions],
                 errors=sum(lane.errors for lane in lane_objs),
-                sheds=sheds,
                 ecalls=ecalls,
                 mean_batch_size=records / batches if batches else 0.0,
                 batch_histogram={},
@@ -568,7 +562,7 @@ def format_table(result: LoadResult) -> str:
         f"{result.saturation_rps:,.0f} req/s, peak "
         f"{result.peak_rps:,.1f} req/s",
         "  offered req/s   achieved req/s   p50 (ms)   p99 (ms)"
-        "   ecalls/req   mean batch   errors   sheds",
+        "   ecalls/req   mean batch   errors",
     ]
     for point in result.points:
         lines.append(
@@ -578,7 +572,6 @@ def format_table(result: LoadResult) -> str:
             f"   {point.ecalls_per_request:>10.3f}"
             f"   {point.mean_batch_size:>10.2f}"
             f"   {point.errors:>6}"
-            f"   {point.sheds:>5}"
         )
     return "\n".join(lines)
 

@@ -19,12 +19,15 @@ Three layers, outermost first:
   ``repro.errors`` taxonomy: connection loss, stream corruption and
   server GOODBYEs become :class:`~repro.errors.ConnectionLostError`
   (a transient the broker heals by re-attesting over a fresh
-  connection); ``BUSY`` frames are honoured by re-sending the
-  *identical* ciphertext after the server's retry-after hint — safe
-  because a shed request was never dispatched, so no channel nonce
-  advanced — and only after ``busy_retries`` rebuffs surface as
-  :class:`~repro.errors.ServerBusyError`.  Typed ``ERROR`` frames are
-  rebuilt into their original exception class.
+  connection).  ``BUSY`` is a connect-time frame: a server at its
+  connection cap answers ``HELLO`` with it, and the transport
+  reconnects after the server's retry-after hint, surfacing
+  :class:`~repro.errors.ServerBusyError` only after ``busy_retries``
+  rebuffs.  Any other frame than the expected one in reply to a
+  request — ``BUSY`` included — is a protocol violation: the
+  connection is torn down and the call raises ``ConnectionLostError``,
+  without re-sending.  Typed ``ERROR`` frames are rebuilt into their
+  original exception class.
 
 Retry-after waits run on the injectable clock, so tests drive the
 busy/reconnect dance on a :class:`~repro.net.clock.VirtualClock`
@@ -54,10 +57,11 @@ DEFAULT_BUSY_RETRIES = 4
 
 
 class RemoteTransport:
-    """One client-side TCP connection with busy-retry and reconnect.
+    """One client-side TCP connection with connect-time busy-retry and
+    reconnect.
 
     Thread-safe around a single socket: calls serialise on an internal
-    lock (the broker above is a per-user object, not a thread pool).
+    lock (the broker above also serialises its own requests).
     A dead connection is re-established lazily on the next call, so
     the broker's heal path — which simply issues fresh attestation
     calls — transparently lands on a new connection.
@@ -180,64 +184,45 @@ class RemoteTransport:
     # The call surface
     # ------------------------------------------------------------------
     def call(self, ftype: int, payload: bytes, *, expect: int) -> wire.Frame:
-        """One request/response exchange, with busy-retry and typed
-        error mapping.  Returns the ``expect``-typed frame (or a
-        ``REPLY_DEGRADED`` standing in for an expected ``REPLY``)."""
+        """One request/response exchange with typed error mapping.
+        Returns the ``expect``-typed frame (or a ``REPLY_DEGRADED``
+        standing in for an expected ``REPLY``)."""
         with self._io_lock:
-            last_retry_after = 0.0
-            for attempt in range(self._busy_retries + 1):
-                if self._sock is None:
-                    self._connect_locked()
-                with span(self._recorder, "client.call",
-                          placement=PLACEMENT_CLIENT,
-                          frame=wire.frame_name(ftype),
-                          request_bytes=len(payload)):
-                    try:
-                        frame = self._exchange_on(
-                            self._sock, ftype, payload
-                        )
-                    except ConnectionLostError:
-                        self._sock = None
-                        raise
-                if frame.ftype == wire.T_BUSY:
-                    # The server never dispatched the record, so the
-                    # channel nonces did not advance: re-sending the
-                    # identical bytes after the hint is safe.
-                    last_retry_after = wire.decode_busy(frame.payload)
-                    self.busy_rebuffs += 1
-                    self._count("client.busy_rebuffs")
-                    if attempt < self._busy_retries:
-                        self._clock.sleep(last_retry_after)
-                    continue
-                if frame.ftype == wire.T_ERROR:
-                    raise wire.decode_error(frame.payload)
-                if frame.ftype == wire.T_GOODBYE:
-                    reason = wire.decode_goodbye(frame.payload)
-                    self._teardown_locked()
-                    raise ConnectionLostError(
-                        f"server dismissed the connection ({reason})"
-                    )
-                if (frame.ftype == wire.T_REPLY_DEGRADED
-                        and expect == wire.T_REPLY):
-                    # Lifecycle signal: the reply is good, the server
-                    # is draining.  Drop the connection so the next
-                    # call reconnects (to a healthier home).
-                    self.drain_notices += 1
-                    self._count("client.drain_notices")
-                    self._teardown_locked()
-                    return frame
-                if frame.ftype != expect:
-                    self._teardown_locked()
-                    raise ConnectionLostError(
-                        f"expected {wire.frame_name(expect)}, server "
-                        f"sent {frame.name}"
-                    )
+            if self._sock is None:
+                self._connect_locked()
+            with span(self._recorder, "client.call",
+                      placement=PLACEMENT_CLIENT,
+                      frame=wire.frame_name(ftype),
+                      request_bytes=len(payload)):
+                try:
+                    frame = self._exchange_on(self._sock, ftype, payload)
+                except ConnectionLostError:
+                    self._sock = None
+                    raise
+            if frame.ftype == wire.T_ERROR:
+                raise wire.decode_error(frame.payload)
+            if frame.ftype == wire.T_GOODBYE:
+                reason = wire.decode_goodbye(frame.payload)
+                self._teardown_locked()
+                raise ConnectionLostError(
+                    f"server dismissed the connection ({reason})"
+                )
+            if (frame.ftype == wire.T_REPLY_DEGRADED
+                    and expect == wire.T_REPLY):
+                # Lifecycle signal: the reply is good, the server is
+                # draining.  Drop the connection so the next call
+                # reconnects (to a healthier home).
+                self.drain_notices += 1
+                self._count("client.drain_notices")
+                self._teardown_locked()
                 return frame
-            raise ServerBusyError(
-                f"request shed {self._busy_retries + 1} times by "
-                f"admission control",
-                retry_after=last_retry_after,
-            )
+            if frame.ftype != expect:
+                self._teardown_locked()
+                raise ConnectionLostError(
+                    f"expected {wire.frame_name(expect)}, server "
+                    f"sent {frame.name}"
+                )
+            return frame
 
     def ping(self, payload: bytes = b"") -> bytes:
         return self.call(wire.T_PING, payload, expect=wire.T_PONG).payload

@@ -11,10 +11,13 @@ that, and the trace oracle proves it).
 
 Threading model: one accept thread plus one reader thread per
 connection, mirroring the thread-per-TCS shape of a real SGX host
-process.  Admission control is two-level — a connection cap at accept
-time and an in-flight request cap at dispatch time — and both shed
-with a ``BUSY`` frame carrying a retry-after hint rather than by
-letting the backlog grow without bound.  ``close()`` drains: the
+process.  A connection's reader thread makes its requests' crossings
+itself, so a connection has at most one request in flight and the
+server admits work in one place: a connection cap at accept time,
+which turns an over-capacity connection away with a ``BUSY`` frame
+carrying a retry-after hint, then a ``GOODBYE``, before any
+``WELCOME``.  The scheduler behind the frontend bounds the crossings
+in flight (``max_workers``).  ``close()`` drains: the
 listener stops, in-flight requests finish (their replies flagged
 ``REPLY_DEGRADED`` so clients know to reconnect elsewhere), and every
 connection is dismissed with a ``GOODBYE``.
@@ -50,7 +53,6 @@ from repro.obs.tracing import PLACEMENT_HOST, event, span
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_BACKLOG = 32
 DEFAULT_MAX_CONNECTIONS = 64
-DEFAULT_MAX_INFLIGHT = 256
 DEFAULT_IDLE_TIMEOUT = 30.0
 DEFAULT_RETRY_AFTER = 0.05
 #: Seconds the accept loop waits per poll for a stop signal.
@@ -211,29 +213,23 @@ class _Connection:
 
     def _dispatch(self, frame: wire.Frame):
         server = self._server
-        if not server._admit_request():
-            server._shed("inflight")
-            return wire.T_BUSY, wire.encode_busy(server.retry_after)
-        try:
-            with span(server.recorder, "server.dispatch",
-                      placement=PLACEMENT_HOST,
-                      frame=frame.name,
-                      request_bytes=len(frame.payload)):
-                if frame.ftype == wire.T_SEARCH:
-                    session_id, record = wire.decode_search(frame.payload)
-                    channel = server._channel_for(session_id)
-                    replies = [channel.request(session_id, record)]
-                else:
-                    batch = wire.decode_search_batch(frame.payload)
-                    if len({session_id for session_id, _ in batch}) > 1:
-                        # Routing follows one session; a replica does not
-                        # know another replica's sessions.
-                        raise ProtocolError(
-                            "SEARCH_BATCH must name a single session")
-                    channel = server._channel_for(batch[0][0])
-                    replies = list(channel.request_batch(batch))
-        finally:
-            server._release_request()
+        with span(server.recorder, "server.dispatch",
+                  placement=PLACEMENT_HOST,
+                  frame=frame.name,
+                  request_bytes=len(frame.payload)):
+            if frame.ftype == wire.T_SEARCH:
+                session_id, record = wire.decode_search(frame.payload)
+                channel = server._channel_for(session_id)
+                replies = [channel.request(session_id, record)]
+            else:
+                batch = wire.decode_search_batch(frame.payload)
+                if len({session_id for session_id, _ in batch}) > 1:
+                    # Routing follows one session; a replica does not
+                    # know another replica's sessions.
+                    raise ProtocolError(
+                        "SEARCH_BATCH must name a single session")
+                channel = server._channel_for(batch[0][0])
+                replies = list(channel.request_batch(batch))
         reply_type = (wire.T_REPLY_DEGRADED if self._reply_degraded()
                       else wire.T_REPLY)
         return reply_type, wire.encode_reply(replies)
@@ -302,7 +298,6 @@ class XSearchServer:
     def __init__(self, deployment, *, host: str = DEFAULT_HOST,
                  port: int = 0,
                  max_connections: int = DEFAULT_MAX_CONNECTIONS,
-                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
                  idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
                  retry_after: float = DEFAULT_RETRY_AFTER,
                  max_frame_bytes: int = wire.MAX_FRAME_BYTES,
@@ -312,15 +307,12 @@ class XSearchServer:
                  name: str = "xsearch-netserve"):
         if max_connections < 1:
             raise ValueError("max_connections must be >= 1")
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive (or None)")
         self._deployment = deployment
         self._host = host
         self._port = port
         self.max_connections = max_connections
-        self.max_inflight = max_inflight
         self.idle_timeout = idle_timeout
         self.retry_after = retry_after
         self.max_frame_bytes = max_frame_bytes
@@ -340,7 +332,6 @@ class XSearchServer:
         # Guarded by _state_lock:
         self._state = _STATE_NEW
         self._connections = set()
-        self._inflight = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -484,17 +475,6 @@ class XSearchServer:
         if hasattr(frontend, "for_session"):
             return frontend.for_session(session_id)
         return frontend
-
-    def _admit_request(self) -> bool:
-        with self._state_lock:
-            if self._inflight >= self.max_inflight:
-                return False
-            self._inflight += 1
-            return True
-
-    def _release_request(self) -> None:
-        with self._state_lock:
-            self._inflight -= 1
 
     def _is_draining(self) -> bool:
         with self._state_lock:

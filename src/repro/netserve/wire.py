@@ -29,7 +29,9 @@ frame               id   payload
 ``REPLY``           9    count-prefixed list of sealed reply records
 ``REPLY_DEGRADED``  10   as ``REPLY``; served while the server drains
 ``ERROR``           11   JSON ``{"error", "message", "retryable"}``
-``BUSY``            12   JSON ``{"retry_after": seconds}``
+``BUSY``            12   JSON ``{"retry_after": seconds}``; sent only
+                         at connect, before ``WELCOME`` (then
+                         ``GOODBYE``), never in reply to a request
 ``PING``            13   opaque (echoed back)
 ``PONG``            14   opaque (the echo)
 ``GOODBYE``         15   JSON ``{"reason": str}``

@@ -31,6 +31,29 @@ def test_aliased_and_from_imports_are_still_caught(lint):
     assert codes(findings) == ["XD001", "XD001"]
 
 
+def test_cpu_clocks_are_flagged(lint):
+    findings = lint("repro.core.history", """
+        import time
+        from time import thread_time_ns
+
+        def cpu():
+            return (time.thread_time(), thread_time_ns(),
+                    time.process_time_ns())
+    """, DeterminismChecker())
+    assert codes(findings) == ["XD001", "XD001", "XD001"]
+
+
+def test_cpu_clocks_in_the_clock_module_are_fine(lint):
+    findings = lint("repro.net.clock", """
+        import time
+
+        def cpu():
+            return (time.thread_time(), time.thread_time_ns(),
+                    time.process_time_ns())
+    """, DeterminismChecker())
+    assert findings == []
+
+
 def test_datetime_now_family_is_flagged(lint):
     findings = lint("repro.experiments.runner", """
         import datetime

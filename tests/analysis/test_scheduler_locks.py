@@ -1,7 +1,7 @@
-"""Lock fixtures for the concurrent path: the scheduler's queue lock and
-the cycle counter's lock are registered in LOCK_MAP — so xlint proves
-every guarded access — and their ranks in LOCK_ORDER match the runtime
-nesting."""
+"""Lock fixtures for the concurrent path: the broker's exchange lock,
+the scheduler's queue lock and the cycle counter's lock are registered
+in LOCK_MAP — so xlint proves every guarded access — and their ranks
+in LOCK_ORDER match the runtime nesting."""
 
 from __future__ import annotations
 
@@ -30,3 +30,12 @@ def test_lock_order_ranks_match_runtime_nesting():
     # CycleCounter._lock nests inside the enclave's concurrency lock
     # (boundary accounting happens during a crossing).
     assert rank["_concurrency_lock"] < rank["_lock"]
+
+
+def test_broker_exchange_lock_is_registered_outermost():
+    broker_map = LOCK_MAP["repro.core.broker"]["Broker"]
+    assert set(broker_map["_exchange_lock"]) == {"_endpoint", "_session_id",
+                                                 "_proxy"}
+    # Held from seal to open, so into the scheduler's queue lock (in
+    # process) and the client transport's I/O lock (over the wire).
+    assert LOCK_ORDER[0] == "_exchange_lock"

@@ -343,8 +343,6 @@ def test_parameter_validation():
         RequestScheduler(proxy, max_workers=None)
     with pytest.raises(ValueError):
         RequestScheduler(proxy, max_batch=0)
-    with pytest.raises(ValueError):
-        RequestScheduler(proxy, queue_capacity=0)
 
 
 def test_a_crossing_runs_on_its_submitters_thread():

@@ -71,10 +71,10 @@ def test_virtual_summary_shape_and_invariants(case, request):
         assert set(point) >= {
             "offered_rps", "achieved_rps", "p50_latency", "p99_latency",
             "ecalls_per_request", "mean_batch_size", "batch_histogram",
-            "errors", "sheds",
+            "errors",
         }
     assert all(point.requests > 0 and point.ecalls > 0
-               and point.errors == 0 and point.sheds == 0
+               and point.errors == 0
                for point in result.points)
     # The trace oracles (balanced boundaries, host-plaintext,
     # single-outcome) hold, with the wire in the pipeline for Server.
@@ -128,7 +128,6 @@ def test_wall_sweep_bookkeeping(topology, mode):
     (point,) = result.points
     assert point.requests > 0
     assert point.errors == 0
-    assert point.sheds == 0
     assert result.peak_rps > 0
     # Request ecalls are read once per deployment: replicas share the
     # registry that backs every replica's boundary counter.
@@ -156,20 +155,6 @@ def test_lane_failures_are_counted_not_dropped(monkeypatch):
     assert point.requests == 0
     assert point.errors == len(load._arrivals(20, 0.2, load.WALL_SEED))
     assert result.summary()["points"][0]["errors"] == point.errors
-
-
-def test_server_points_count_sheds(monkeypatch):
-    class OneInFlight(load.XSearchServer):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **{**kwargs, "max_inflight": 1})
-
-    monkeypatch.setattr(load, "XSearchServer", OneInFlight)
-    result = load.run_wall(Server(2), rates=(400,), duration_seconds=0.2,
-                           lanes=4, engine_latency=0.005)
-    (point,) = result.points
-    assert point.sheds > 0
-    assert result.summary()["points"][0]["sheds"] == point.sheds
-    assert "sheds" in load.format_table(result)
 
 
 def test_balanced_session_ids_spread_lanes_evenly():

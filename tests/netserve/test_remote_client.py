@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import socket
+import threading
+
 import pytest
 
 from _helpers import make_client
-from repro.errors import AuthenticationError, ProtocolError, ReproError
+from repro.errors import (
+    AuthenticationError,
+    ConnectionLostError,
+    ProtocolError,
+    ReproError,
+)
+from repro.net.clock import VirtualClock
 from repro.netserve import wire
+from repro.netserve.client import RemoteTransport
 
 
 def test_search_end_to_end(remote):
@@ -73,3 +83,75 @@ def test_context_manager_closes(served):
     # Closed: the next call transparently reconnects rather than failing.
     assert client.search("nfl playoffs", limit=2)
     client.close()
+
+
+# ----------------------------------------------------------------------
+# BUSY is a connect-time frame: in reply to a request it is a protocol
+# violation, and the request is never re-sent
+# ----------------------------------------------------------------------
+class BusyOnFirstSearch:
+    """A raw-socket server: it welcomes every connection, answers the
+    first SEARCH it ever sees with BUSY and every later one with a
+    one-record REPLY, and records each connection's frame types."""
+
+    def __init__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self.connections = []
+        self._busy_sent = False
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                sock, _peer = self._listener.accept()
+            except OSError:
+                return
+            frames = []
+            self.connections.append(frames)
+            with sock:
+                self._converse(sock, frames)
+
+    def _converse(self, sock, frames):
+        while True:
+            frame = wire.read_frame(sock)
+            if frame is None:
+                return
+            frames.append(frame.name)
+            if frame.ftype == wire.T_HELLO:
+                sock.sendall(wire.encode_frame(
+                    wire.T_WELCOME,
+                    wire.encode_welcome(server_name="busy-on-search")))
+            elif frame.ftype == wire.T_SEARCH and not self._busy_sent:
+                self._busy_sent = True
+                sock.sendall(wire.encode_frame(
+                    wire.T_BUSY, wire.encode_busy(0.25)))
+            elif frame.ftype == wire.T_SEARCH:
+                sock.sendall(wire.encode_frame(
+                    wire.T_REPLY, wire.encode_reply([b"sealed"])))
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=10)
+
+
+def test_busy_reply_to_a_search_drops_the_connection_without_resending():
+    server = BusyOnFirstSearch()
+    clock = VirtualClock()
+    transport = RemoteTransport(server.address, clock=clock)
+    search = wire.encode_search("session-1", b"record")
+    try:
+        with pytest.raises(ConnectionLostError):
+            transport.call(wire.T_SEARCH, search, expect=wire.T_REPLY)
+        # One SEARCH on the wire, no wait for the hint, no rebuff count.
+        assert transport.busy_rebuffs == 0
+        assert clock.sleeps == []
+        # The next call heals onto a fresh connection.
+        frame = transport.call(wire.T_SEARCH, search, expect=wire.T_REPLY)
+        assert wire.decode_reply(frame.payload) == [b"sealed"]
+    finally:
+        transport.close()
+        server.close()
+    assert server.connections == [["HELLO", "SEARCH"],
+                                  ["HELLO", "SEARCH", "GOODBYE"]]

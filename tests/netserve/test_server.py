@@ -181,43 +181,6 @@ def test_connection_cap_sheds_with_busy():
             assert registry.counter("server.sheds").value >= 1
 
 
-def test_inflight_cap_sheds_request_with_busy(small_engine):
-    engine = GatedEngine(small_engine)
-    with make_deployment(engine=engine) as deployment:
-        with XSearchServer(deployment, max_inflight=1,
-                           idle_timeout=None) as server:
-            blocked = make_client(deployment, server, user_id="blocked")
-            rebuffed = make_client(deployment, server, user_id="rebuffed",
-                                   busy_retries=0)
-            try:
-                engine.gate.clear()
-                worker = threading.Thread(
-                    target=blocked.search, args=("cheap hotel rome",),
-                    daemon=True,
-                )
-                worker.start()
-                assert engine.entered.wait(timeout=10)
-                # The admission slot is held; a second request is shed
-                # with a typed busy error carrying the hint.  Each shed
-                # burns a channel nonce, so the broker heals between
-                # attempts and finally gives the session up entirely.
-                with pytest.raises(RetryExhaustedError) as info:
-                    rebuffed.search("nfl playoffs")
-                cause = info.value.last_cause
-                assert isinstance(cause, ServerBusyError)
-                assert cause.retry_after == server.retry_after
-                assert cause.retryable
-                assert not rebuffed.broker.is_connected
-            finally:
-                engine.gate.set()
-            worker.join(timeout=10)
-            assert not worker.is_alive()
-            # Capacity freed: the rebuffed client succeeds on a new call.
-            assert rebuffed.search("nfl playoffs", limit=3)
-            blocked.close()
-            rebuffed.close()
-
-
 def test_reconnect_after_busy_honours_retry_after_on_virtual_clock():
     """A BUSY at connect time is retried after exactly the server's
     hint — driven on a virtual clock, so no real sleeping happens."""
