@@ -30,8 +30,7 @@ LOCK_MAP = {
     },
     "repro.core.cluster": {
         "SessionRouter": {
-            "_ring_lock": ("_ring", "_pins", "_displaced", "_replicas",
-                           "_replayed"),
+            "_ring_lock": ("_ring", "_pins", "_replicas", "_replayed"),
             "_health_lock": ("_states", "_losses"),
         },
     },

@@ -15,7 +15,9 @@ Only then do queries flow: broker encrypts → enclave decrypts, executes,
 encrypts results → broker decrypts and hands them to the web client.
 
 Fault tolerance: when a request dies because the enclave was lost
-(:class:`~repro.errors.EnclaveLostError`), the broker *heals* — it
+(:class:`~repro.errors.EnclaveLostError`), or the enclave no longer
+holds the session (:class:`~repro.errors.SessionLostError`: evicted,
+or re-pinned off a failed replica), the broker *heals* — it
 re-attests the respawned enclave (same expected measurement; a swapped
 binary still fails verification), performs a fresh handshake under a new
 session id, re-encrypts the request under the new channel keys and
@@ -180,7 +182,8 @@ class Broker:
     def _on_connect_retry(self, attempt: int, exc: Exception) -> None:
         event(self._recorder, "retry", attempt=attempt,
               error=type(exc).__name__)
-        self._reset_session_locked(exc)
+        if isinstance(exc, EnclaveLostError):
+            self._new_session_locked()
 
     def _on_heal_connect_retry(self, attempt: int, exc: Exception) -> None:
         # The heal's inner connect loop is a *nested* retry with its own
@@ -188,16 +191,25 @@ class Broker:
         # "retry" events stay countable against the root span's budget.
         event(self._recorder, "connect.retry", attempt=attempt,
               error=type(exc).__name__)
-        self._reset_session_locked(exc)
-
-    def _reset_session_locked(self, exc: Exception) -> None:
         if isinstance(exc, EnclaveLostError):
-            # The session id may be half-established on some enclave (or
-            # pinned to a dead replica); restart under a fresh id so the
-            # retried handshake starts from a clean slate.
-            self._session_id = self._mint_session_id()
-            if self._router is not None:
-                self._proxy = self._router.for_session(self._session_id)
+            self._new_session_locked()
+
+    def _new_session_locked(self) -> None:
+        """Start over under a fresh session id: the one place a broker
+        changes its session.
+
+        The old id may be half-established on some enclave, evicted, or
+        pinned to a dead replica, so the channel and attestation go with
+        it.  Against a cluster the router channel is re-bound under the
+        new id: if the old replica was retired, the consistent-hash ring
+        now lands the session on a survivor (which absorbed the dead
+        replica's checkpoint).
+        """
+        self._endpoint = None
+        self.attested = False
+        self._session_id = self._mint_session_id()
+        if self._router is not None:
+            self._proxy = self._router.for_session(self._session_id)
 
     def _mint_session_id(self) -> str:
         if self._session_ids is not None:
@@ -205,23 +217,17 @@ class Broker:
         return secrets.token_hex(8)
 
     def _heal_locked(self, attempt: int, exc: Exception) -> None:
-        """Recover from an enclave loss between retry attempts.
+        """Recover from an enclave or session loss between retry attempts.
 
-        The respawned enclave has fresh channel keys and an empty session
-        table, so the broker re-attests (verifying the measurement did
+        The enclave serving the next attempt (respawned, a failover
+        survivor, or one that evicted the session) does not hold the
+        session's keys, so the broker re-attests (verifying the measurement did
         not change), opens a new session id and derives new keys.  Runs
         under the connect-time retry policy so an attestation transient
         during recovery does not kill the heal.
         """
         hooks.step("broker.heal", attempt=attempt)
-        self._endpoint = None
-        self.attested = False
-        self._session_id = self._mint_session_id()
-        if self._router is not None:
-            # Re-route under the new session id: if the old replica was
-            # retired the consistent-hash ring now lands this session on
-            # a survivor (which absorbed the dead replica's checkpoint).
-            self._proxy = self._router.for_session(self._session_id)
+        self._new_session_locked()
         self.reconnects += 1
         event(self._recorder, "retry", attempt=attempt,
               error=type(exc).__name__)
@@ -388,12 +394,7 @@ class Broker:
                 )
             except RetryExhaustedError as exc:
                 if isinstance(exc.last_cause, EnclaveLostError):
-                    self._endpoint = None
-                    self.attested = False
-                    self._session_id = self._mint_session_id()
-                    if self._router is not None:
-                        self._proxy = self._router.for_session(
-                            self._session_id)
+                    self._new_session_locked()
                 raise
 
     def _latency_timer(self, name: str):

@@ -24,9 +24,12 @@ it, and at ``failover_threshold`` consecutive losses the replica is
 retired: pulled off the hash ring, its pinned sessions re-routed to
 survivors, and its last sealed checkpoint replayed (merged) into them
 so inherited users keep warm obfuscation histories.  Brokers recover
-through their normal heal path: calls against a retired replica surface
-as ``EnclaveLostError``, the broker re-attests, and the new session
-lands on a survivor.
+through their normal heal path: a re-pinned session's next record
+reaches the survivor's enclave, which holds no such session and fails
+it with :class:`~repro.errors.SessionLostError`; the broker re-attests,
+and the new session lands on a survivor.  A lost session is not
+evidence against the replica that reports it, so the router never
+counts one toward ``failover_threshold``.
 
 The host-side router sees only what any untrusted cloud front end sees:
 session ids, record sizes and timing (see ``docs/THREAT_MODEL.md`` on
@@ -42,7 +45,12 @@ import bisect
 import hashlib
 import threading
 
-from repro.errors import EnclaveError, EnclaveLostError, ReproError
+from repro.errors import (
+    EnclaveError,
+    EnclaveLostError,
+    ReproError,
+    SessionLostError,
+)
 from repro.obs.tracing import PLACEMENT_HOST, event, span
 from repro.sim import hooks
 
@@ -56,13 +64,6 @@ DEFAULT_FAILOVER_THRESHOLD = 2
 
 STATE_HEALTHY = "healthy"
 STATE_DEAD = "dead"
-
-#: Connection-establishment ops: allowed (and, for the handshake,
-#: expected) on a session displaced by failover — they are exactly how
-#: the broker re-attests its new replica.
-_CONNECT_OPS = frozenset({
-    "attestation_evidence", "channel_public", "begin_session",
-})
 
 
 def _ring_point(value: str) -> int:
@@ -250,7 +251,6 @@ class SessionRouter:
         self._ring = HashRing(vnodes=vnodes)
         self._replicas = {}   # replica_id -> ReplicaHandle (dead kept)
         self._pins = {}       # session_id -> replica_id
-        self._displaced = set()  # sessions re-pinned by a failover
         self._replayed = {}   # replica_id -> checkpoint blob replayed
         self._states = {}     # replica_id -> STATE_*
         self._losses = {}     # replica_id -> consecutive typed losses
@@ -388,29 +388,8 @@ class SessionRouter:
     # ------------------------------------------------------------------
     # Dispatch with health accounting
     # ------------------------------------------------------------------
-    def _resolve_for_dispatch(self, session_id: str,
-                              name: str) -> ReplicaHandle:
-        """Pin resolution plus the displaced-session protocol: a session
-        whose replica died was re-pinned to a survivor that has never
-        seen its handshake, so data-path calls surface as
-        ``EnclaveLostError`` (driving the broker's ordinary heal) while
-        the re-attestation ops are let through — completing the
-        handshake clears the displacement."""
-        with self._ring_lock:
-            replica = self._resolve_locked(session_id)
-            if session_id in self._displaced:
-                if name == "begin_session":
-                    self._displaced.discard(session_id)
-                elif name not in _CONNECT_OPS:
-                    raise EnclaveLostError(
-                        f"session {session_id!r} was re-pinned after a "
-                        f"replica failover; reconnect to attest "
-                        f"{replica.replica_id}"
-                    )
-        return replica
-
     def _dispatch(self, session_id: str, name: str, *args, **kwargs):
-        replica = self._resolve_for_dispatch(session_id, name)
+        replica = self.replica_for(session_id)
         return self._dispatch_replica(replica, name, *args, **kwargs)
 
     def _dispatch_replica(self, replica: ReplicaHandle, name: str,
@@ -424,6 +403,8 @@ class SessionRouter:
                   placement=PLACEMENT_HOST, replica=replica_id):
             try:
                 result = getattr(replica.scheduler, name)(*args, **kwargs)
+            except SessionLostError:
+                raise       # the session is gone, not the replica
             except EnclaveLostError:
                 self._note_loss(replica_id)
                 raise
@@ -507,18 +488,19 @@ class SessionRouter:
 
     def _repin_locked(self, replica_id: str) -> int:
         """Re-route the dead replica's sessions; caller holds the ring
-        lock.  With the ring empty the pins are dropped — the next call
-        raises "no healthy replicas" instead of routing into a void."""
+        lock.  The survivor's enclave has never seen their handshakes,
+        so their next record fails with ``SessionLostError`` and their
+        brokers heal.  With the ring empty the pins are dropped — the
+        next call raises "no healthy replicas" instead of routing into a
+        void."""
         moved = 0
         for session_id, owner in sorted(self._pins.items()):
             if owner != replica_id:
                 continue
             if len(self._ring) == 0:
                 del self._pins[session_id]
-                self._displaced.discard(session_id)
             else:
                 self._pins[session_id] = self._ring.route(session_id)
-                self._displaced.add(session_id)
             moved += 1
         return moved
 

@@ -44,7 +44,12 @@ Fault tolerance (the availability layer):
   (:class:`~repro.errors.EnclaveLostError`), automatically respawns one
   with the same measurement and replays the last checkpoint into its
   empty history (``absorb_sealed_history``) — clients re-attest and
-  re-handshake, then carry on.
+  re-handshake, then carry on;
+* the enclave is the one place that answers "no such session": a record
+  whose session was evicted from the bounded session table, died with a
+  previous enclave or was re-pinned off a failed replica fails with
+  :class:`~repro.errors.SessionLostError`, which the broker heals the
+  same way.  The host keeps no session bookkeeping of its own.
 
 All of it is exercised by the seeded fault-injection plane in
 :mod:`repro.faults`; with no plan installed none of the machinery adds a
@@ -92,6 +97,7 @@ from repro.errors import (
     ProtocolError,
     ReproError,
     RetryExhaustedError,
+    SessionLostError,
     TransientError,
     scrub,
 )
@@ -315,9 +321,10 @@ class XSearchEnclaveCode:
         wedging the session with mismatched keys on its first record.
 
         The session table lives in EPC, so it is bounded: past
-        ``max_sessions`` the oldest sessions are evicted (their clients
-        must re-attest and re-handshake) — a flood of handshakes cannot
-        exhaust enclave memory.
+        ``max_sessions`` the oldest sessions are evicted (their next
+        record fails with :class:`~repro.errors.SessionLostError`, and
+        their clients re-attest and re-handshake) — a flood of
+        handshakes cannot exhaust enclave memory.
         """
         self._require_configured()
         endpoint = self._responder.finish(client_hello)
@@ -749,7 +756,9 @@ class XSearchEnclaveCode:
         with self._session_lock:
             endpoint = self._sessions.get(session_id)
         if endpoint is None:
-            raise EnclaveError(f"unknown session {session_id!r}")
+            raise SessionLostError(
+                f"no session {session_id!r} in this enclave; re-attest "
+                f"to establish a new one")
         return endpoint
 
 
@@ -767,7 +776,10 @@ class XSearchProxyHost:
     replays the most recent sealed history checkpoint into it, and
     resets the engine connection pool's host side.  The in-flight request
     still fails — its session keys died with the enclave — but the next
-    attestation a client performs finds a live, restored proxy.
+    attestation a client performs finds a live, restored proxy.  The
+    dead enclave's other sessions need no host bookkeeping: their next
+    record reaches the respawned enclave, which holds no such session
+    and fails it with :class:`~repro.errors.SessionLostError`.
     """
 
     def __init__(self, engine, *, k: int = DEFAULT_K,
@@ -822,14 +834,6 @@ class XSearchProxyHost:
         # block natively.
         self._enclave_lock = hooks.SimAwareLock("proxy.enclave")
         self._closed = False
-        # Sessions the host has relayed handshakes for.  When the
-        # enclave dies, its session keys die with it: every live session
-        # moves to the displaced set, and data ops on a displaced
-        # session raise EnclaveLostError (recoverable: re-attest and
-        # re-handshake) instead of the enclave's own "unknown session"
-        # EnclaveError, which clients have no reason to retry.
-        self._live_session_ids = set()
-        self._displaced_session_ids = set()
         self.respawn_count = 0
         self.checkpoint_count = 0
         self.checkpoint_failures = 0
@@ -874,8 +878,6 @@ class XSearchProxyHost:
         # Pooled sockets belonged to the dead enclave: drop their host
         # side so the respawned pool starts clean.
         self.gateway.reset_connections()
-        self._displaced_session_ids |= self._live_session_ids
-        self._live_session_ids = set()
         self.respawn_count += 1
         self.last_restore_count = None
         self.last_restore_expected = None
@@ -1037,11 +1039,7 @@ class XSearchProxyHost:
     # Session relay (all payloads opaque to the host)
     # ------------------------------------------------------------------
     def begin_session(self, session_id: str, client_hello: bytes) -> bytes:
-        confirmation = self._call("accept_session", session_id, client_hello)
-        with self._enclave_lock:
-            self._live_session_ids.add(session_id)
-            self._displaced_session_ids.discard(session_id)
-        return confirmation
+        return self._call("accept_session", session_id, client_hello)
 
     def request(self, session_id: str, record: bytes) -> bytes:
         """Relay one opaque record: a batch of one."""
@@ -1061,35 +1059,20 @@ class XSearchProxyHost:
         enclave transitions the traffic costs.  Returns one
         ``("ok", reply)`` or ``("err", typed_error)`` entry per record
         (see :meth:`XSearchEnclaveCode.request_many`: the session is the
-        unit of failure).  A record whose session died with a previous
-        enclave fails alone with :class:`EnclaveLostError`; the rest of
-        the batch is still served.  An empty batch returns an empty
-        tuple without entering the enclave at all."""
+        unit of failure).  A record whose session the enclave does not
+        hold (evicted, or died with a previous enclave) fails with
+        :class:`~repro.errors.SessionLostError`, which the broker heals;
+        the rest of the batch is still served.  An empty batch returns
+        an empty tuple without entering the enclave at all."""
         batch = list(batch)
         if not batch:
             return ()
-        with self._enclave_lock:
-            lost = {
-                index
-                for index, (session_id, _record) in enumerate(batch)
-                if session_id in self._displaced_session_ids
-            }
         if self._registry is not None:
             self._registry.counter("proxy.requests").inc(len(batch))
             self._registry.histogram(
                 "proxy.request.batch_size"
             ).record(len(batch))
-        remainder = [pair for index, pair in enumerate(batch)
-                     if index not in lost]
-        served = iter(
-            self._call("request_many", remainder) if remainder else ())
-        entries = tuple(
-            ("err", EnclaveLostError(
-                f"session {batch[index][0]!r} died with its enclave; "
-                f"re-attest to establish a new one"))
-            if index in lost else next(served)
-            for index in range(len(batch))
-        )
+        entries = self._call("request_many", batch)
         self._after_requests(len(batch))
         return entries
 

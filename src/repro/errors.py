@@ -99,6 +99,17 @@ class EnclaveLostError(TransientError, EnclaveError):
     """
 
 
+class SessionLostError(EnclaveLostError):
+    """The enclave holds no session under this id.
+
+    The session was evicted from the bounded session table, died with a
+    previous enclave, or lives on a replica that failed over.  The
+    enclave is fine; only the session is gone, so the broker's heal
+    (re-attest, fresh session id, new handshake) is the recovery, and a
+    cluster router does not count it against the replica.
+    """
+
+
 class NetworkError(ReproError):
     """The simulated network could not deliver a message."""
 

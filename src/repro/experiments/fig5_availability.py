@@ -21,7 +21,7 @@ respawned enclave re-attests under the original measurement, and the
 restored history is exactly the checkpointed one.
 
 :func:`run_kill_one` is the cluster's counterpart: a replica killed
-mid-stream behind the session router, with the displaced sessions
+mid-stream behind the session router, with the re-pinned sessions
 healing onto the survivor.
 """
 
@@ -239,10 +239,11 @@ def run_kill_one(*, clients: int = 6,
     ``clients`` brokers (fixed session ids, so the pin map is a pure
     function of the ring) round-robin ``total_requests`` searches over
     two replicas; halfway through, the replica holding the most
-    sessions is killed.  Every displaced client's next request raises
-    :class:`~repro.errors.EnclaveLostError` inside its broker, which
-    heals — new session id, fresh attestation against the survivor —
-    and retries, so the expected availability is 100 %.
+    sessions is killed.  Every re-pinned client's next request reaches
+    the survivor's enclave, which holds no such session and raises
+    :class:`~repro.errors.SessionLostError`; the broker heals — new
+    session id, fresh attestation against the survivor — and retries,
+    so the expected availability is 100 %.
     """
     # connect=False keeps the pin table exactly the minted clients (the
     # default broker would add a randomly-named session), so the victim

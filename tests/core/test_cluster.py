@@ -201,6 +201,9 @@ def test_kill_replica_repins_and_brokers_heal_onto_survivors():
         for sid, client in clients.items():
             assert router.pinned(client._broker._session_id) \
                 == "replica-0"
+        # A displaced session reaching the survivor is not evidence
+        # against it.
+        assert router._losses["replica-0"] == 0
     violations = TraceChecker().check_recorder(recorder)
     assert violations == []
 
@@ -289,6 +292,36 @@ def test_replica_scoped_fault_plan_drives_automatic_failover():
             assert router.pinned(client._broker._session_id) \
                 == "replica-0"
         assert "ok" in outcomes  # the cluster never went fully dark
+
+
+def test_one_enclave_crash_never_retires_a_replica():
+    """One crash costs the sessions on the crashed enclave, not the
+    replica: a second session's first request after the respawn finds
+    its session gone, and that is not a second loss."""
+    plan = FaultPlan(seed=0)
+    config = DeploymentConfig(
+        seed=11, k=2, replicas=2, connect=False,
+        replica_fault_plans={0: plan},
+    )
+    with XSearchDeployment.create(config=config) as deployment:
+        members = [h.replica_id for h in deployment.cluster.replicas]
+        first, second = (
+            deployment.client(user_id=sid, session_id=sid)
+            for sid in _ids_on("replica-0", 2, members, prefix="one")
+        )
+        first.search("museum train", limit=2)
+        second.search("museum train", limit=2)
+
+        plan.trigger(SITE_ECALL, KIND_CRASH)
+        with pytest.raises(ReproError):
+            first.search("river cruise", limit=2,
+                         retry_policy=RetryPolicy(max_attempts=1))
+        assert isinstance(second.search("river cruise", limit=2), list)
+
+        router = deployment.cluster.router
+        assert second._broker.reconnects == 1
+        assert router.healthy_ids() == ("replica-0", "replica-1")
+        assert router.failovers == 0
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.core.proxy import XSearchProxyHost
 from repro.crypto.channel import HandshakeInitiator
-from repro.errors import EnclaveError
+from repro.errors import EnclaveError, SessionLostError
 from repro.search.tracking import TrackingSearchEngine
 
 
@@ -42,8 +43,21 @@ def test_evicted_session_rejected(small_engine):
     open_session(proxy, "second")
     open_session(proxy, "third")  # evicts "first"
     record = first.encrypt(SearchRequest("hotel", 5).encode())
-    with pytest.raises(EnclaveError):
+    with pytest.raises(SessionLostError):
         proxy.request("first", record)
+
+
+def test_evicted_client_heals_onto_a_fresh_session():
+    """An evicted session is a lost session: the client's broker
+    re-attests under a new id and its next search is answered."""
+    config = DeploymentConfig(seed=7, k=1, proxy_options={"max_sessions": 2})
+    with XSearchDeployment.create(config=config) as deployment:
+        evicted = deployment.client(user_id="evicted")
+        assert evicted.search("cheap hotel rome", limit=3)
+        deployment.client(user_id="newer-1")
+        deployment.client(user_id="newer-2")  # evicts "evicted"
+        assert evicted.search("cheap hotel rome", limit=3)
+        assert evicted._broker.reconnects == 1
 
 
 def test_surviving_sessions_unaffected_by_eviction(small_engine):

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from _helpers import make_client
+from _helpers import make_client, make_deployment
 from repro.errors import (
     AuthenticationError,
     ConnectionLostError,
@@ -17,6 +17,7 @@ from repro.errors import (
 from repro.net.clock import VirtualClock
 from repro.netserve import wire
 from repro.netserve.client import RemoteTransport
+from repro.netserve.server import XSearchServer
 
 
 def test_search_end_to_end(remote):
@@ -66,6 +67,22 @@ def test_server_side_error_is_rebuilt_typed(served, remote):
     # The client-held channel desynchronised nothing (the record never
     # decrypted), and the TCP connection survived the typed error.
     assert remote.ping(b"alive") == b"alive"
+
+
+def test_evicted_remote_session_heals_over_the_wire():
+    """The enclave's typed session loss crosses the wire intact, so a
+    remote broker heals an evicted session like a local one."""
+    with make_deployment(proxy_options={"max_sessions": 2}) as deployment:
+        with XSearchServer(deployment, idle_timeout=None) as server:
+            evicted = make_client(deployment, server, user_id="evicted")
+            try:
+                assert evicted.search("cheap hotel rome", limit=3)
+                deployment.client(user_id="newer-1")
+                deployment.client(user_id="newer-2")
+                assert evicted.search("cheap hotel rome", limit=3)
+                assert evicted.broker.reconnects == 1
+            finally:
+                evicted.close()
 
 
 def test_transport_counts_are_observable(remote):

@@ -13,6 +13,7 @@ from repro.errors import (
     ProtocolError,
     ReproError,
     ServerBusyError,
+    SessionLostError,
     TransientError,
 )
 from repro.netserve import wire
@@ -216,6 +217,7 @@ def test_error_round_trip_preserves_type():
     for exc in (AttestationError("verdict mismatch"),
                 ProtocolError("bad frame"),
                 EnclaveLostError("it fell over"),
+                SessionLostError("no such session"),
                 ServerBusyError("full")):
         rebuilt = wire.decode_error(wire.encode_error(exc))
         assert type(rebuilt) is type(exc)
