@@ -58,8 +58,8 @@ from repro.core.retry import (
     call_with_retry,
 )
 from repro.core.scheduler import (
-    DEFAULT_MAX_BATCH,
     DEFAULT_MAX_WORKERS,
+    MAX_BATCH,
     RequestScheduler,
 )
 
@@ -99,5 +99,5 @@ __all__ = [
     "DEFAULT_DEGRADED_CACHE_BYTES",
     "RequestScheduler",
     "DEFAULT_MAX_WORKERS",
-    "DEFAULT_MAX_BATCH",
+    "MAX_BATCH",
 ]

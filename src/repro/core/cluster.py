@@ -29,7 +29,8 @@ reaches the survivor's enclave, which holds no such session and fails
 it with :class:`~repro.errors.SessionLostError`; the broker re-attests,
 and the new session lands on a survivor.  A lost session is not
 evidence against the replica that reports it, so the router never
-counts one toward ``failover_threshold``.
+counts one toward ``failover_threshold``.  A session lost either way
+gives up its pin: its broker heals under a new id.
 
 The host-side router sees only what any untrusted cloud front end sees:
 session ids, record sizes and timing (see ``docs/THREAT_MODEL.md`` on
@@ -358,7 +359,8 @@ class SessionRouter:
             return self._resolve_locked(session_id)
 
     def pinned(self, session_id: str):
-        """The session's current pin, or ``None`` if never routed."""
+        """The session's current pin, or ``None`` if never routed or
+        lost."""
         with self._ring_lock:
             return self._pins.get(session_id)
 
@@ -390,7 +392,14 @@ class SessionRouter:
     # ------------------------------------------------------------------
     def _dispatch(self, session_id: str, name: str, *args, **kwargs):
         replica = self.replica_for(session_id)
-        return self._dispatch_replica(replica, name, *args, **kwargs)
+        try:
+            return self._dispatch_replica(replica, name, *args, **kwargs)
+        except (SessionLostError, EnclaveLostError):
+            # The session's keys are gone and its broker heals under a
+            # new id, so the pin would never be used again.
+            with self._ring_lock:
+                self._pins.pop(session_id, None)
+            raise
 
     def _dispatch_replica(self, replica: ReplicaHandle, name: str,
                           *args, **kwargs):

@@ -40,7 +40,6 @@ from repro.core.proxy import (
 )
 from repro.core.retry import RetryPolicy
 from repro.core.scheduler import (
-    DEFAULT_MAX_BATCH,
     DEFAULT_MAX_WORKERS,
     RequestScheduler,
 )
@@ -75,7 +74,6 @@ class DeploymentConfig:
     connect: bool = True
     retry_policy: RetryPolicy = None
     max_workers: int = DEFAULT_MAX_WORKERS
-    max_batch: int = DEFAULT_MAX_BATCH
     replicas: int = 1
     vnodes: int = DEFAULT_VNODES
     failover_threshold: int = DEFAULT_FAILOVER_THRESHOLD
@@ -252,7 +250,6 @@ class XSearchDeployment:
             scheduler = RequestScheduler(
                 proxy,
                 max_workers=config.max_workers,
-                max_batch=config.max_batch,
                 recorder=recorder,
                 registry=registry,
             )

@@ -321,10 +321,11 @@ class XSearchEnclaveCode:
         wedging the session with mismatched keys on its first record.
 
         The session table lives in EPC, so it is bounded: past
-        ``max_sessions`` the oldest sessions are evicted (their next
-        record fails with :class:`~repro.errors.SessionLostError`, and
-        their clients re-attest and re-handshake) — a flood of
-        handshakes cannot exhaust enclave memory.
+        ``max_sessions`` the least recently used sessions are evicted
+        (their next record fails with
+        :class:`~repro.errors.SessionLostError`, and their clients
+        re-attest and re-handshake) — a flood of handshakes cannot
+        exhaust enclave memory, nor evict a session that is in use.
         """
         self._require_configured()
         endpoint = self._responder.finish(client_hello)
@@ -333,8 +334,8 @@ class XSearchEnclaveCode:
                 raise EnclaveError(f"session {session_id!r} already exists")
             self._sessions[session_id] = endpoint
             while len(self._sessions) > self._max_sessions:
-                oldest = next(iter(self._sessions))
-                del self._sessions[oldest]
+                least_recent = next(iter(self._sessions))
+                del self._sessions[least_recent]
             self.memory.store(
                 "xsearch.sessions",
                 None,
@@ -754,7 +755,10 @@ class XSearchEnclaveCode:
 
     def _session(self, session_id: str):
         with self._session_lock:
-            endpoint = self._sessions.get(session_id)
+            endpoint = self._sessions.pop(session_id, None)
+            if endpoint is not None:
+                # Back to the end: the table evicts from the front.
+                self._sessions[session_id] = endpoint
         if endpoint is None:
             raise SessionLostError(
                 f"no session {session_id!r} in this enclave; re-attest "

@@ -12,7 +12,7 @@ once.  :class:`RequestScheduler` has the same shape in front of
   ``(session_id, record)`` ticket.  If fewer than ``max_workers``
   crossings are in flight, it becomes the *combiner* (flat combining,
   Hendler, Incze, Shavit and Tzafrir, SPAA 2010): it takes every
-  eligible queued ticket, up to ``max_batch`` records, makes one
+  eligible queued ticket, up to :data:`MAX_BATCH` records, makes one
   ``request_many`` ecall for all of them on its own thread, resolves
   them, and repeats until its own ticket is resolved.  Otherwise it
   waits, and a waiter that wakes while a slot is free becomes a
@@ -34,7 +34,8 @@ ticket is one session's unit of work (a single record, or a ready-made
 batch from ``request_batch``), so the scheduler never puts two tickets
 of one session in one crossing: a ticket's outcome depends only on its
 own records.  A ready-made batch shares its crossing with other
-sessions' records, up to ``max_batch``, and still fails as one unit.
+sessions' records, up to :data:`MAX_BATCH`, and still fails as one
+unit.
 Submissions are never deduplicated: a re-submitted identical record is
 just another record, and the channel's counter nonce rejects it with a
 typed replay error.
@@ -70,7 +71,8 @@ from repro.obs.tracing import PLACEMENT_HOST, span
 from repro.sim import hooks
 
 DEFAULT_MAX_WORKERS = 4
-DEFAULT_MAX_BATCH = 8
+#: The most records one crossing carries.
+MAX_BATCH = 8
 
 
 class _Ticket:
@@ -99,15 +101,11 @@ class RequestScheduler:
     """
 
     def __init__(self, proxy, *, max_workers: int = DEFAULT_MAX_WORKERS,
-                 max_batch: int = DEFAULT_MAX_BATCH,
                  recorder=None, registry=None):
         if max_workers is None or max_workers < 1:
             raise ValueError("max_workers must be a positive int")
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
         self.proxy = proxy
         self.max_workers = max_workers
-        self.max_batch = max_batch
         self._recorder = recorder
         self._registry = registry
         # One condition guards all queue state: the ticket queue, the
@@ -232,7 +230,7 @@ class RequestScheduler:
         Claimed sessions are marked active immediately, so no other
         combiner can take the same session out of order; sessions of
         tickets we skipped shadow everything behind them for the same
-        reason.  A ticket that alone exceeds ``max_batch`` crosses
+        reason.  A ticket that alone exceeds :data:`MAX_BATCH` crosses
         alone.
         """
         batch, size = [], 0
@@ -243,14 +241,14 @@ class RequestScheduler:
             blocked = any(sid in self._active_sessions or sid in shadowed
                           for sid in ticket.sessions)
             if blocked or (batch and size + len(ticket.records)
-                           > self.max_batch):
+                           > MAX_BATCH):
                 kept.append(ticket)
                 shadowed |= ticket.sessions
                 continue
             batch.append(ticket)
             size += len(ticket.records)
             self._active_sessions |= ticket.sessions
-            if size >= self.max_batch:
+            if size >= MAX_BATCH:
                 break
         kept.extend(self._queue)
         self._queue = kept

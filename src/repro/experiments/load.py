@@ -7,8 +7,8 @@ p50/p99 latency up to the knee, plus mean *ecalls per request* (< 1
 once the scheduler's coalescing amortises transitions) and mean batch
 size.  What stands in front of the load is a *topology*:
 
-* :class:`InProcess` — one enclave, ``workers`` scheduler threads,
-  every lane an in-process client session;
+* :class:`InProcess` — one enclave, at most ``workers`` crossings in
+  flight, every lane an in-process client session;
 * :class:`Cluster` — ``replicas`` enclave replicas behind the
   consistent-hash session router, lanes spread evenly over the ring;
 * :class:`Server` — :class:`InProcess` behind the TCP serving layer,
@@ -16,11 +16,12 @@ size.  What stands in front of the load is a *topology*:
   loopback connection.
 
 :func:`run_virtual` (InProcess and Server) is a single-threaded
-discrete-event simulation of the scheduler's policy in which every
-simulated batch executes the real pipeline: byte-identical digests for
-equal seeds.  :func:`run_wall` (all three) runs real scheduler threads
-under wrk2-style open-loop lanes against a paced engine, latency
-measured from *intended* send times.
+discrete-event model of ``workers`` crossing slots in which every
+arrival executes the real pipeline as one search: byte-identical
+digests for equal seeds.  :func:`run_wall` (all three) drives the real
+scheduler from wrk2-style open-loop lane threads against a paced
+engine, latency measured from *intended* send times; only there do
+queued requests coalesce into shared crossings.
 
 :data:`BENCH` and :data:`GATES` are the benchmark smoke run as data;
 :func:`bench` (``xsearch-experiments bench``) runs them.
@@ -41,9 +42,8 @@ from typing import Callable, ClassVar
 
 from repro.core.cluster import HashRing
 from repro.core.deployment import DeploymentConfig, XSearchDeployment
-from repro.core.scheduler import DEFAULT_MAX_BATCH
 from repro.experiments import fig5_availability
-from repro.net.clock import SystemClock, VirtualClock
+from repro.net.clock import SystemClock
 from repro.net.loadgen import OpenLoopLoadGenerator, saturation_rate
 from repro.netserve.client import RemoteClient
 from repro.netserve.server import XSearchServer
@@ -137,7 +137,6 @@ class LoadPoint:
     errors: int
     ecalls: int
     mean_batch_size: float
-    batch_histogram: dict  # batch size -> count (virtual mode only)
 
     @property
     def ecalls_per_request(self) -> float:
@@ -152,10 +151,6 @@ class LoadPoint:
             "p99_latency": round(self.p99_latency, 6),
             "ecalls_per_request": round(self.ecalls_per_request, 4),
             "mean_batch_size": round(self.mean_batch_size, 3),
-            "batch_histogram": {
-                str(size): count
-                for size, count in sorted(self.batch_histogram.items())
-            },
         }
 
 
@@ -235,8 +230,26 @@ def _achieved_rps(completions: list) -> float:
     return (len(completions) - 1) / span
 
 
-def _point(offered: float, latencies: list, completions: list,
-           **measured) -> LoadPoint:
+def _counters(deployment) -> tuple:
+    """(request ecalls, scheduler batches, scheduled records) so far.
+
+    Replicas share the deployment's registry, and the cycle counter
+    stores its counts there, so one replica's boundary snapshot already
+    covers the whole deployment: read it once.
+    """
+    counts = deployment.proxy.enclave.boundary_snapshot().ecall_counts
+    registry = deployment.registry
+    return (counts.get(REQUEST_ECALL, 0),
+            registry.counter("scheduler.batches").value,
+            registry.counter("scheduler.submitted").value)
+
+
+def _point(offered: float, latencies: list, completions: list, *,
+           errors: int, deployment, before: tuple) -> LoadPoint:
+    """One point, its ecalls and batches counted since ``before`` (a
+    :func:`_counters` reading)."""
+    ecalls, batches, records = (
+        now - then for now, then in zip(_counters(deployment), before))
     ordered = sorted(latencies)
     count = len(ordered)
     return LoadPoint(
@@ -246,7 +259,9 @@ def _point(offered: float, latencies: list, completions: list,
         p50_latency=_percentile(ordered, 50.0),
         p99_latency=_percentile(ordered, 99.0),
         requests=count,
-        **measured,
+        errors=errors,
+        ecalls=ecalls,
+        mean_batch_size=records / batches if batches else 0.0,
     )
 
 
@@ -255,8 +270,8 @@ def _point(offered: float, latencies: list, completions: list,
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class InProcess:
-    """One enclave behind a ``workers``-thread scheduler; lanes are
-    in-process client sessions."""
+    """One enclave whose scheduler lets ``workers`` crossings run at
+    once; lanes are in-process client sessions."""
 
     workers: int
     mode_prefix: ClassVar[str] = ""
@@ -268,10 +283,6 @@ class InProcess:
     def lanes(self, deployment, count: int):
         return nullcontext([deployment.client(user_id=f"lane-{i}")
                             for i in range(count)])
-
-    def driver(self, deployment):
-        """The one client a virtual sweep submits its batches through."""
-        return nullcontext([deployment.client])
 
     def shape(self, deployment, lanes: int) -> dict:
         return {"max_workers": self.workers}
@@ -289,14 +300,9 @@ class Server(InProcess):
         return _remote_clients(deployment,
                                [f"lane-{i}" for i in range(count)])
 
-    def driver(self, deployment):
-        # A virtual clock for every protocol wait keeps the run serial.
-        return _remote_clients(deployment, ["fig5-virtual"],
-                               clock=VirtualClock())
-
 
 @contextmanager
-def _remote_clients(deployment, user_ids, clock=None):
+def _remote_clients(deployment, user_ids):
     recorder, registry = deployment.recorder, deployment.registry
     with XSearchServer(deployment, max_connections=len(user_ids) + 4,
                        idle_timeout=None, recorder=recorder,
@@ -306,7 +312,7 @@ def _remote_clients(deployment, user_ids, clock=None):
                 server.address,
                 service_public_key=deployment.attestation_service.public_key,
                 expected_measurement=deployment.proxy.measurement,
-                user_id=user_id, clock=clock,
+                user_id=user_id,
                 recorder=recorder, registry=registry,
             )
             for user_id in user_ids
@@ -382,64 +388,46 @@ class Cluster:
 # ----------------------------------------------------------------------
 def run_virtual(topology: InProcess, *, rates, duration_seconds: float,
                 seed: int = 0, k: int = 3, limit: int = 5) -> LoadResult:
-    """Deterministic saturation sweep: DES of the scheduler's policy,
-    service times measured from real pipeline executions.
+    """Deterministic saturation sweep: a discrete-event model of
+    ``topology.workers`` crossing slots, service times measured from
+    real pipeline executions.
 
-    Each simulated batch of B requests really executes
-    (``search_batch``) and is charged ``boundary_cycles / clock_hz +
-    compute_per_record × B + engine_latency × B``: the measured
-    transition cost of that very batch, the modelled enclave compute,
-    and its engine exchanges, which run one after another on the thread
-    that made the ecall.  As in
-    :class:`~repro.core.scheduler.RequestScheduler`, a submitter that
-    finds a crossing slot free takes the whole backlog up to
-    ``max_batch``.
+    Each arrival takes the earliest-free slot, really executes as one
+    ``search`` of the topology's one lane, and is charged
+    ``boundary_cycles / clock_hz + compute_per_record +
+    engine_latency``: the measured transition cost of that very search,
+    the modelled enclave compute and its engine exchange.  The sweep
+    forms no batches of its own: the scheduler forms every crossing, and
+    a lone serial caller's crossing carries one record.
     """
     recorder = TraceRecorder()
     outputs = hashlib.sha256()
     points = []
     config = DeploymentConfig(seed=seed, k=k)
-    with XSearchDeployment.create(config=config,
-                                  recorder=recorder) as deployment, \
-            topology.driver(deployment) as (client,):
+    with XSearchDeployment.create(
+        config=config, recorder=recorder, registry=MetricsRegistry(),
+    ) as deployment, topology.lanes(deployment, 1) as (client,):
         enclave = deployment.proxy.enclave
         for rate in rates:
             arrivals = _arrivals(rate, duration_seconds, seed)
             queries = _query_pool(len(arrivals), seed)
-            workers = [0.0] * topology.workers
-            latencies, completions, batch_sizes = [], [], []
-            ecalls_before = enclave.boundary_snapshot().ecalls
-            index = 0
-            while index < len(arrivals):
-                start = max(heapq.heappop(workers), arrivals[index])
-                batch = [index]
-                index += 1
-                while (index < len(arrivals)
-                       and len(batch) < DEFAULT_MAX_BATCH
-                       and arrivals[index] <= start):
-                    batch.append(index)
-                    index += 1
-                size = len(batch)
-                before = enclave.boundary_snapshot().cycles
-                pages = client.search_batch([queries[j] for j in batch],
-                                            limit=limit)
-                outputs.update(repr(pages).encode("utf-8"))
-                cycles = enclave.boundary_snapshot().cycles - before
+            slots = [0.0] * topology.workers
+            latencies, completions = [], []
+            before = _counters(deployment)
+            for arrival, query in zip(arrivals, queries):
+                start = max(heapq.heappop(slots), arrival)
+                cycles = enclave.boundary_snapshot().cycles
+                page = client.search(query, limit=limit)
+                outputs.update(repr(page).encode("utf-8"))
+                cycles = enclave.boundary_snapshot().cycles - cycles
                 done = start + (cycles / DEFAULT_CLOCK_HZ
-                                + COMPUTE_PER_RECORD * size
-                                + VIRTUAL_ENGINE_LATENCY * size)
-                for j in batch:
-                    latencies.append(done - arrivals[j])
-                    completions.append(done)
-                batch_sizes.append(size)
-                heapq.heappush(workers, done)
-            points.append(_point(
-                rate, latencies, completions, errors=0,
-                ecalls=enclave.boundary_snapshot().ecalls - ecalls_before,
-                mean_batch_size=(sum(batch_sizes) / len(batch_sizes)
-                                 if batch_sizes else 0.0),
-                batch_histogram=dict(Counter(batch_sizes)),
-            ))
+                                + COMPUTE_PER_RECORD
+                                + VIRTUAL_ENGINE_LATENCY)
+                latencies.append(done - arrival)
+                completions.append(done)
+                heapq.heappush(slots, done)
+            points.append(_point(rate, latencies, completions, errors=0,
+                                 deployment=deployment, before=before))
         shape = topology.shape(deployment, 1)
     return LoadResult(
         mode=topology.mode_prefix + "virtual",
@@ -486,20 +474,6 @@ class _Lane(threading.Thread):
             self.completions.append(done)
 
 
-def _counters(deployment) -> tuple:
-    """(request ecalls, scheduler batches, scheduled records) so far.
-
-    Replicas share the deployment's registry, and the cycle counter
-    stores its counts there, so one replica's boundary snapshot already
-    covers the whole deployment: read it once.
-    """
-    counts = deployment.proxy.enclave.boundary_snapshot().ecall_counts
-    registry = deployment.registry
-    return (counts.get(REQUEST_ECALL, 0),
-            registry.counter("scheduler.batches").value,
-            registry.counter("scheduler.submitted").value)
-
-
 def run_wall(topology, *, rates, duration_seconds: float,
              lanes: int = 16,
              engine_latency: float = WALL_ENGINE_LATENCY) -> LoadResult:
@@ -533,16 +507,12 @@ def run_wall(topology, *, rates, duration_seconds: float,
                 lane.start()
             for lane in lane_objs:
                 lane.join()
-            ecalls, batches, records = (
-                now - then for now, then in zip(_counters(deployment), before))
             points.append(_point(
                 rate,
                 [t for lane in lane_objs for t in lane.latencies],
                 [t for lane in lane_objs for t in lane.completions],
                 errors=sum(lane.errors for lane in lane_objs),
-                ecalls=ecalls,
-                mean_batch_size=records / batches if batches else 0.0,
-                batch_histogram={},
+                deployment=deployment, before=before,
             ))
     # Wall-clock runs jitter; a slightly looser keep-up bound than the
     # simulated sweeps keeps the knee estimate stable across machines.

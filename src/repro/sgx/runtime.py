@@ -12,9 +12,10 @@ This runtime makes both explicit and measurable:
 * the host can only reach code explicitly exported with :func:`ecall`;
   anything else raises, modelling the hardware access checks.
 
-The X-Search proxy (repro.core.proxy) exposes exactly the interface listed
-in the paper: ecalls ``init`` and ``request``; ocalls ``sock_connect``,
-``send``, ``recv`` and ``close``.
+The X-Search proxy (repro.core.proxy) exposes the interface listed in
+the paper, with ``request`` batched: ecalls ``init`` and
+``request_many`` (the paper's ``request`` is a batch of one); ocalls
+``sock_connect``, ``send``, ``recv`` and ``close``.
 """
 
 from __future__ import annotations

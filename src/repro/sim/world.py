@@ -255,6 +255,10 @@ def _observe_pin(world: SimWorld, broker: Broker) -> None:
         return
     session_id = broker._session_id
     pin = router.pinned(session_id)
+    if pin is None:
+        # A lost session's pin is dropped: nothing to observe.  The last
+        # pin seen is kept, so a later re-pin elsewhere still counts.
+        return
     previous = world.last_pins.get(session_id)
     if previous is not None and pin != previous:
         world.pin_changes.append(

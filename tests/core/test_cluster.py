@@ -324,6 +324,34 @@ def test_one_enclave_crash_never_retires_a_replica():
         assert router.failovers == 0
 
 
+def test_lost_sessions_give_up_their_pins():
+    """A session lost with its enclave leaves no pin behind: its broker
+    heals under a new id, so after three crashes the router still pins
+    exactly the sessions the enclaves hold."""
+    plan = FaultPlan(seed=0)
+    config = DeploymentConfig(seed=11, k=2, replicas=2,
+                              replica_fault_plans={0: plan})
+    with XSearchDeployment.create(config=config) as deployment:
+        members = [h.replica_id for h in deployment.cluster.replicas]
+        clients = [deployment.client] + [
+            deployment.client(user_id=sid, session_id=sid)
+            for replica_id in members
+            for sid in _ids_on(replica_id, 2, members, prefix="pin")
+        ]
+        router = deployment.cluster.router
+        assert router.session_count == 5
+        for _ in range(3):
+            plan.trigger(SITE_ECALL, KIND_CRASH)
+            for client in clients:
+                assert isinstance(client.search("museum train", limit=2),
+                                  list)
+        live = sum(len(handle.proxy.enclave._instance._sessions)
+                   for handle in deployment.cluster.replicas)
+        assert sum(c._broker.reconnects for c in clients[1:]) >= 3
+        assert router.session_count == live == 5
+        assert router.failovers == 0
+
+
 # ----------------------------------------------------------------------
 # Elastic lifecycle
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """RequestScheduler: caller-runs crossings, coalescing without a timed
-wait, per-session FIFO, failure isolation (untyped failures included),
-replayed records and shutdown semantics.
+wait up to the batch cap, per-session FIFO, failure isolation (untyped
+failures included), replayed records and shutdown semantics.
 
 The policy tests run against a scripted fake proxy (deterministic, no
 threads inside), the integration tests against a real deployment.
@@ -15,7 +15,7 @@ import pytest
 from repro.core.deployment import DeploymentConfig, XSearchDeployment
 from repro.core.protocol import SearchRequest, SearchResponse
 from repro.core.proxy import XSearchEnclaveCode, XSearchProxyHost
-from repro.core.scheduler import RequestScheduler
+from repro.core.scheduler import MAX_BATCH, RequestScheduler
 from repro.crypto.channel import HandshakeInitiator
 from repro.errors import (
     AuthenticationError,
@@ -341,8 +341,6 @@ def test_parameter_validation():
         RequestScheduler(proxy, max_workers=0)
     with pytest.raises(ValueError):
         RequestScheduler(proxy, max_workers=None)
-    with pytest.raises(ValueError):
-        RequestScheduler(proxy, max_batch=0)
 
 
 def test_a_crossing_runs_on_its_submitters_thread():
@@ -394,6 +392,56 @@ def test_queued_sessions_cross_as_one_batch_once_the_combiner_leaves():
     assert crossers[1] in {"submitter-a", "submitter-b", "submitter-c"}
 
 
+def test_queued_sessions_beyond_the_cap_wait_for_the_next_crossing():
+    """Nine queued single-record sessions cross as ``MAX_BATCH`` (8)
+    records, then one."""
+    gate = threading.Event()
+    proxy = FakeProxy(gate=gate)
+    sessions = [f"s{i}" for i in range(9)]
+    with RequestScheduler(proxy, max_workers=1) as scheduler:
+        replies = cross_behind_a_held_crossing(scheduler, proxy, gate,
+                                               sessions)
+    assert replies == {sid: b"reply:" + sid.encode()
+                       for sid in ["head", *sessions]}
+    assert [len(call) for call in records_of(proxy, "request_many")] == [
+        1, 8, 1]
+    assert MAX_BATCH == 8
+
+
+def test_ready_made_batch_over_the_cap_crosses_alone():
+    """A queued nine-record batch, larger than ``MAX_BATCH``, takes a
+    crossing of its own; the single record queued behind it waits for
+    the next one."""
+    gate = threading.Event()
+    proxy = FakeProxy(gate=gate)
+    batch = [("tenant", b"r%d" % i) for i in range(9)]
+    outcomes = {}
+
+    def submit(name, call):
+        outcomes[name] = call()
+
+    with RequestScheduler(proxy, max_workers=1) as scheduler:
+        threads = [threading.Thread(target=submit, args=(name, call))
+                   for name, call in (
+                       ("head", lambda: scheduler.request("head", b"head")),
+                       ("batch", lambda: scheduler.request_batch(batch)),
+                       ("other", lambda: scheduler.request("other",
+                                                           b"other")))]
+        threads[0].start()
+        wait_for_call(proxy)            # head request is inside the proxy
+        for queued, thread in enumerate(threads[1:], start=1):
+            thread.start()
+            wait_for_queue(scheduler, queued)
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+    assert outcomes["batch"] == tuple(b"reply:" + record
+                                      for _, record in batch)
+    assert records_of(proxy, "request_many") == [
+        (("head", b"head"),), tuple(batch), (("other", b"other"),)]
+
+
 def test_close_waits_for_a_crossing_in_flight_on_another_thread():
     gate = threading.Event()
     proxy = FakeProxy(gate=gate)
@@ -424,7 +472,7 @@ def test_close_waits_for_a_crossing_in_flight_on_another_thread():
 # Integration: the real pipeline
 # ----------------------------------------------------------------------
 def test_concurrent_deployment_serves_many_clients():
-    config = DeploymentConfig(seed=5, k=2, max_workers=3, max_batch=4)
+    config = DeploymentConfig(seed=5, k=2, max_workers=3)
     with XSearchDeployment.create(config=config) as deployment:
         assert deployment.scheduler is not None
         assert deployment.frontend is deployment.scheduler
@@ -449,6 +497,72 @@ def test_concurrent_deployment_serves_many_clients():
             thread.join(timeout=30.0)
         assert not errors
         assert len(results) == 6
+
+
+class GatedEngine:
+    """Wraps a :class:`SearchEngine`; its first exchange signals
+    ``entered`` and waits for ``gate``, holding its crossing open."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.entered, self.gate = threading.Event(), threading.Event()
+
+    def _hold(self):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.gate.wait(timeout=5.0)
+
+    def search(self, query, limit):
+        self._hold()
+        return self._engine.search(query, limit)
+
+    def search_or(self, subqueries, limit):
+        self._hold()
+        return self._engine.search_or(subqueries, limit)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+
+def test_queued_sessions_share_one_real_request_many_ecall(small_engine):
+    """Coalescing saves enclave transitions on the real pipeline: with
+    the one crossing slot held inside the engine, the searches of four
+    other sessions queue behind it and cross together in one
+    ``request_many`` ecall, so ecalls per request falls below 1."""
+    queued = 4
+    engine = GatedEngine(small_engine)
+    config = DeploymentConfig(seed=5, k=2, max_workers=1)
+    with XSearchDeployment.create(config=config, engine=engine,
+                                  registry=MetricsRegistry()) as deployment:
+        clients = [deployment.client(user_id=f"user-{i}")
+                   for i in range(queued + 1)]
+        scheduler = deployment.scheduler
+        counts = deployment.proxy.enclave.boundary_snapshot
+        before = counts().ecall_counts.get("request_many", 0)
+        results, errors = {}, []
+
+        def go(index):
+            try:
+                results[index] = clients[index].search("hotel rome",
+                                                       limit=3)
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=go, args=(i,))
+                   for i in range(queued + 1)]
+        threads[0].start()
+        assert engine.entered.wait(timeout=5.0)
+        for count, thread in enumerate(threads[1:], start=1):
+            thread.start()
+            wait_for_queue(scheduler, count)
+        engine.gate.set()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert not errors and len(results) == queued + 1
+        ecalls = counts().ecall_counts.get("request_many", 0) - before
+        assert ecalls == 2
+        assert ecalls / (queued + 1) < 1.0
 
 
 HOLD_QUERY = "hotel rome"

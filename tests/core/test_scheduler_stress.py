@@ -82,7 +82,7 @@ def run_stress(engine=None):
     outcomes = []
     outcome_lock = threading.Lock()
 
-    config = DeploymentConfig(seed=SEED, k=2, max_workers=4, max_batch=4,
+    config = DeploymentConfig(seed=SEED, k=2, max_workers=4,
                               proxy_options={"fault_plan": plan})
     with XSearchDeployment.create(
         config=config, engine=engine,

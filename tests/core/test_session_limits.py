@@ -60,6 +60,24 @@ def test_evicted_client_heals_onto_a_fresh_session():
         assert evicted._broker.reconnects == 1
 
 
+def test_eviction_spares_the_recently_used_session():
+    """The table evicts the least recently used session, not the oldest
+    handshake: a session in use survives a newer handshake, and the
+    idle one goes."""
+    config = DeploymentConfig(seed=7, k=1, connect=False,
+                              proxy_options={"max_sessions": 2})
+    with XSearchDeployment.create(config=config) as deployment:
+        busy = deployment.client(user_id="busy")
+        idle = deployment.client(user_id="idle")
+        for _ in range(3):
+            assert busy.search("cheap hotel rome", limit=3)
+        deployment.client(user_id="newer")    # evicts "idle"
+        assert busy.search("cheap hotel rome", limit=3)
+        assert idle.search("cheap hotel rome", limit=3)
+        assert busy._broker.reconnects == 0
+        assert idle._broker.reconnects == 1
+
+
 def test_surviving_sessions_unaffected_by_eviction(small_engine):
     from repro.core.protocol import SearchRequest, SearchResponse
 
