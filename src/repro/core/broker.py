@@ -23,7 +23,9 @@ binary still fails verification), performs a fresh handshake under a new
 session id, re-encrypts the request under the new channel keys and
 retries, all under its :class:`~repro.core.retry.RetryPolicy`.  Transient
 attestation-service hiccups during ``connect()`` are retried the same
-way.
+way, and so is a serving front-end's connect-time ``BUSY``
+(:class:`~repro.errors.ServerBusyError`): one attempt, followed by a
+wait of at least the server's retry-after hint.
 
 A broker may be shared by threads.  The channel's nonces are strict
 counters, so records must reach the enclave in the order they were
@@ -179,17 +181,9 @@ class Broker:
         self._endpoint = endpoint
         event(self._recorder, "broker.attested")
 
-    def _on_connect_retry(self, attempt: int, exc: Exception) -> None:
-        event(self._recorder, "retry", attempt=attempt,
-              error=type(exc).__name__)
-        if isinstance(exc, EnclaveLostError):
-            self._new_session_locked()
-
-    def _on_heal_connect_retry(self, attempt: int, exc: Exception) -> None:
-        # The heal's inner connect loop is a *nested* retry with its own
-        # policy; its events are named "connect.retry" so a trace's
-        # "retry" events stay countable against the root span's budget.
-        event(self._recorder, "connect.retry", attempt=attempt,
+    def _on_connect_retry(self, attempt: int, exc: Exception, *,
+                          event_name: str = "retry") -> None:
+        event(self._recorder, event_name, attempt=attempt,
               error=type(exc).__name__)
         if isinstance(exc, EnclaveLostError):
             self._new_session_locked()
@@ -234,12 +228,16 @@ class Broker:
         event(self._recorder, "broker.heal", attempt=attempt)
         if self._registry is not None:
             self._registry.counter("broker.heals").inc()
+        # The heal's connect loop is a *nested* retry with its own
+        # policy; its events are named "connect.retry" so a trace's
+        # "retry" events stay countable against the root span's budget.
         call_with_retry(
             self._connect_once_locked,
             policy=self._retry_policy,
             clock=self._clock,
             retry_on=(TransientError,),
-            on_retry=self._on_heal_connect_retry,
+            on_retry=lambda attempt, exc: self._on_connect_retry(
+                attempt, exc, event_name="connect.retry"),
         )
 
     @property

@@ -33,9 +33,11 @@ query.
 
 Fault tolerance (the availability layer):
 
-* the engine leg runs under a :class:`~repro.core.retry.RetryPolicy` —
-  transport-level failures (drops, timeouts, garbled frames) are retried
-  on fresh connections before anything is surfaced;
+* the engine leg runs under a :class:`~repro.core.retry.RetryPolicy`,
+  and each exchange is exactly one of its attempts — a transport-level
+  failure (drop, timeout, garbled frame, stale pooled socket) disposes
+  its connection and is retried on another one before anything is
+  surfaced;
 * when every retry is spent, a *degraded mode* serves the last filtered
   results for the same user query from an in-enclave cache instead of
   failing (responses are flagged ``degraded``);
@@ -608,8 +610,17 @@ class XSearchEnclaveCode:
         event(self._recorder, "retry", attempt=attempt,
               error=type(exc).__name__)
 
+    # ------------------------------------------------------------------
+    # Engine exchange over pooled persistent connections
+    # ------------------------------------------------------------------
     def _exchange_once(self, http_request: bytes):
-        """One engine exchange, with transport failures normalised.
+        """One request/response against the engine on one pooled (or
+        freshly opened) connection; returns ``(status, body)``.
+
+        This is one attempt of the engine leg's retry policy and never
+        retries by itself: a stale pooled socket (engine restart,
+        host-side close) costs one visible attempt.  A failed exchange
+        closes its descriptor before the error leaves.
 
         Anything that means "the bytes did not make it" — a refused or
         dropped connection, a timeout, a garbled frame — becomes a
@@ -622,10 +633,20 @@ class XSearchEnclaveCode:
         would hand an active adversary a free oracle).
         """
         try:
-            return self._http_exchange(http_request)
-        except TransientError:
-            raise
-        except CryptoError:
+            connection = self._checkout_connection()
+            try:
+                if connection.tls is not None:
+                    result = self._exchange_on_tls(connection, http_request)
+                else:
+                    result = self._exchange_on_plain(connection, http_request)
+            except Exception:
+                # Stale, dropped, tampered or buggy: the descriptor is
+                # closed before the error leaves, whatever its type.
+                self._dispose_connection(connection)
+                raise
+            self._checkin_connection(connection)
+            return result
+        except (TransientError, CryptoError):
             raise
         except NetworkError as exc:
             raise EngineUnavailableError(
@@ -635,38 +656,6 @@ class XSearchEnclaveCode:
             raise EngineUnavailableError(
                 "engine socket failed: " + scrub(exc)
             ) from exc
-
-    # ------------------------------------------------------------------
-    # Engine exchange over pooled persistent connections
-    # ------------------------------------------------------------------
-    def _http_exchange(self, http_request: bytes):
-        """One request/response against the engine; returns (status, body)."""
-        last_error = None
-        for _attempt in range(2):
-            try:
-                connection = self._checkout_connection()
-            except NetworkError as exc:
-                last_error = exc
-                continue
-            try:
-                if connection.tls is not None:
-                    result = self._exchange_on_tls(connection, http_request)
-                else:
-                    result = self._exchange_on_plain(connection, http_request)
-            except NetworkError as exc:
-                # A pooled socket may have gone stale (engine restart,
-                # host-side close): drop it and retry once on a fresh one.
-                self._dispose_connection(connection)
-                last_error = exc
-                continue
-            except Exception:
-                # Anything else (a tampered TLS frame, a buggy engine)
-                # fails the exchange, but the descriptor is closed first.
-                self._dispose_connection(connection)
-                raise
-            self._checkin_connection(connection)
-            return result
-        raise last_error
 
     def _exchange_on_plain(self, connection: _EngineConnection,
                            http_request: bytes):

@@ -2,10 +2,12 @@
 
 The fault-tolerance layer distinguishes failures by the ``retryable``
 flag on :class:`~repro.errors.ReproError`.  A :class:`RetryPolicy` says
-how hard to try before giving up; :func:`call_with_retry` is the single
-executor every layer shares — the enclave's engine leg, the client-side
-broker and the availability experiment all run their retries through it,
-so backoff behaviour is uniform and testable in one place.
+how hard to try before giving up; :func:`call_with_retry` is the only
+retry loop in the package — the enclave's engine leg, the client-side
+broker (whose connect and heal also absorb a server's connect-time
+``BUSY``) and the availability experiment all run their retries through
+it, so a span's ``retry.max_attempts`` is the real bound on attempts
+and backoff behaviour is testable in one place.
 
 Delays are taken against an injectable clock (see :mod:`repro.net.clock`)
 so tests assert the exact backoff schedule on a virtual clock instead of
@@ -90,6 +92,11 @@ def call_with_retry(operation, *, policy: RetryPolicy = None,
     time) — raises :class:`~repro.errors.RetryExhaustedError` carrying
     the attempt count and the final cause.
 
+    An error's ``retry_after`` (a server's backoff hint, see
+    :class:`~repro.errors.ServerBusyError`) is a floor on the wait
+    before the next attempt: the backoff is the larger of it and the
+    policy's delay.
+
     ``on_retry(attempt, exc)`` is called before each re-attempt; the
     broker uses it to re-attest and re-handshake after an enclave loss.
     """
@@ -107,7 +114,8 @@ def call_with_retry(operation, *, policy: RetryPolicy = None,
                 raise
             if attempts >= policy.max_attempts:
                 raise RetryExhaustedError(attempts, exc) from exc
-            delay = policy.delay_before_retry(attempts)
+            delay = max(policy.delay_before_retry(attempts),
+                        getattr(exc, "retry_after", 0.0))
             if deadline is not None and clock.time() + delay > deadline:
                 raise RetryExhaustedError(
                     attempts, exc,

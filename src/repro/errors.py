@@ -131,13 +131,14 @@ class ServerBusyError(EnclaveLostError):
     control at accept: its connection cap was reached).
 
     ``retry_after`` is the server's backoff hint in seconds.  The
-    transport reconnects after the hint, and raises this only once its
-    busy budget is spent.  No request was sent on a rebuffed
-    connection, but the call that needed it may sit in the middle of a
-    heal or a search whose record is already sealed.  Subclassing
-    :class:`EnclaveLostError` encodes that: the broker recovers by
-    re-attesting under a fresh session, exactly as for any other lost
-    channel.
+    transport raises this on the first rebuff and never retries by
+    itself; :func:`~repro.core.retry.call_with_retry` waits at least
+    the hint before the broker's next attempt.  No request was sent on
+    a rebuffed connection, but the call that needed it may sit in the
+    middle of a heal or a search whose record is already sealed.
+    Subclassing :class:`EnclaveLostError` encodes that: the broker
+    recovers by re-attesting under a fresh session, exactly as for any
+    other lost channel.
     """
 
     def __init__(self, message: str = "server is at capacity", *,

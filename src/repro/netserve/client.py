@@ -20,17 +20,18 @@ Three layers, outermost first:
   server GOODBYEs become :class:`~repro.errors.ConnectionLostError`
   (a transient the broker heals by re-attesting over a fresh
   connection).  ``BUSY`` is a connect-time frame: a server at its
-  connection cap answers ``HELLO`` with it, and the transport
-  reconnects after the server's retry-after hint, surfacing
-  :class:`~repro.errors.ServerBusyError` only after ``busy_retries``
-  rebuffs.  Any other frame than the expected one in reply to a
-  request — ``BUSY`` included — is a protocol violation: the
-  connection is torn down and the call raises ``ConnectionLostError``,
-  without re-sending.  Typed ``ERROR`` frames are rebuilt into their
-  original exception class.
+  connection cap answers ``HELLO`` with it, and the transport closes
+  the socket and raises :class:`~repro.errors.ServerBusyError` with
+  the server's retry-after hint at once.  It never retries by itself:
+  the broker's retry loops (:func:`~repro.core.retry.call_with_retry`)
+  wait at least the hint before their next attempt.  Any other frame than the expected one
+  in reply to a request — ``BUSY`` included — is a protocol
+  violation: the connection is torn down and the call raises
+  ``ConnectionLostError``, without re-sending.  Typed ``ERROR``
+  frames are rebuilt into their original exception class.
 
-Retry-after waits run on the injectable clock, so tests drive the
-busy/reconnect dance on a :class:`~repro.net.clock.VirtualClock`
+Retry-after waits run on the broker's injectable clock, so tests drive
+the busy/reconnect dance on a :class:`~repro.net.clock.VirtualClock`
 without sleeping.
 """
 
@@ -53,12 +54,10 @@ from repro.netserve import wire
 from repro.obs.tracing import PLACEMENT_CLIENT, event, span
 
 DEFAULT_IO_TIMEOUT = 10.0
-DEFAULT_BUSY_RETRIES = 4
 
 
 class RemoteTransport:
-    """One client-side TCP connection with connect-time busy-retry and
-    reconnect.
+    """One client-side TCP connection, re-established on demand.
 
     Thread-safe around a single socket: calls serialise on an internal
     lock (the broker above also serialises its own requests).
@@ -69,7 +68,6 @@ class RemoteTransport:
 
     def __init__(self, address, *, clock=None,
                  io_timeout: float = DEFAULT_IO_TIMEOUT,
-                 busy_retries: int = DEFAULT_BUSY_RETRIES,
                  max_frame_bytes: int = wire.MAX_FRAME_BYTES,
                  client_name: str = "xsearch-remote",
                  recorder=None, registry=None):
@@ -77,7 +75,6 @@ class RemoteTransport:
         self._address = (host, int(port))
         self._clock = clock if clock is not None else SystemClock()
         self._io_timeout = io_timeout
-        self._busy_retries = busy_retries
         self._max_frame_bytes = max_frame_bytes
         self._client_name = client_name
         self._recorder = recorder
@@ -86,7 +83,6 @@ class RemoteTransport:
         # Guarded by _io_lock:
         self._sock = None
         self._server_info = None
-        self.reconnects = 0
         self.busy_rebuffs = 0
         self.drain_notices = 0
 
@@ -104,44 +100,36 @@ class RemoteTransport:
     # Connection management (callers hold _io_lock)
     # ------------------------------------------------------------------
     def _connect_locked(self) -> None:
-        last_retry_after = 0.0
-        for attempt in range(self._busy_retries + 1):
-            try:
-                sock = socket.create_connection(
-                    self._address, timeout=self._io_timeout
-                )
-            except OSError as exc:
-                raise ConnectionLostError(
-                    "could not reach the server: " + scrub(exc)
-                ) from None
-            frame = self._exchange_on(
-                sock, wire.T_HELLO, wire.encode_hello(self._client_name)
+        """Open one connection and say HELLO; a ``BUSY`` rebuff raises
+        :class:`~repro.errors.ServerBusyError` carrying the server's
+        hint, and the broker's retry loop decides whether to come back."""
+        try:
+            sock = socket.create_connection(
+                self._address, timeout=self._io_timeout
             )
-            if frame.ftype == wire.T_WELCOME:
-                self._server_info = wire.decode_welcome(frame.payload)
-                self._sock = sock
-                if attempt > 0:
-                    self.reconnects += 1
-                event(self._recorder, "client.connected",
-                      port=self._address[1])
-                return
-            self._close_socket(sock)
-            if frame.ftype == wire.T_BUSY:
-                last_retry_after = wire.decode_busy(frame.payload)
-                self.busy_rebuffs += 1
-                self._count("client.busy_rebuffs")
-                if attempt < self._busy_retries:
-                    self._clock.sleep(last_retry_after)
-                continue
-            if frame.ftype == wire.T_ERROR:
-                raise wire.decode_error(frame.payload)
+        except OSError as exc:
             raise ConnectionLostError(
-                f"server answered HELLO with {frame.name}"
-            )
-        raise ServerBusyError(
-            f"server still at capacity after "
-            f"{self._busy_retries + 1} connection attempts",
-            retry_after=last_retry_after,
+                "could not reach the server: " + scrub(exc)
+            ) from None
+        frame = self._exchange_on(
+            sock, wire.T_HELLO, wire.encode_hello(self._client_name)
+        )
+        if frame.ftype == wire.T_WELCOME:
+            self._server_info = wire.decode_welcome(frame.payload)
+            self._sock = sock
+            event(self._recorder, "client.connected",
+                  port=self._address[1])
+            return
+        self._close_socket(sock)
+        if frame.ftype == wire.T_BUSY:
+            retry_after = wire.decode_busy(frame.payload)
+            self.busy_rebuffs += 1
+            self._count("client.busy_rebuffs")
+            raise ServerBusyError(retry_after=retry_after)
+        if frame.ftype == wire.T_ERROR:
+            raise wire.decode_error(frame.payload)
+        raise ConnectionLostError(
+            f"server answered HELLO with {frame.name}"
         )
 
     def _exchange_on(self, sock, ftype: int, payload: bytes) -> wire.Frame:
@@ -336,12 +324,10 @@ class RemoteClient:
                  retry_policy: RetryPolicy = None,
                  clock=None, session_ids=None,
                  io_timeout: float = DEFAULT_IO_TIMEOUT,
-                 busy_retries: int = DEFAULT_BUSY_RETRIES,
                  recorder=None, registry=None,
                  connect: bool = True):
         self._transport = RemoteTransport(
             address, clock=clock, io_timeout=io_timeout,
-            busy_retries=busy_retries,
             client_name=f"xsearch-remote/{user_id}",
             recorder=recorder, registry=registry,
         )

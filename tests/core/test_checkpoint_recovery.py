@@ -27,6 +27,8 @@ from repro.faults import (
     SITE_ENGINE_SEND,
     SITE_EPC,
 )
+from repro.net.clock import VirtualClock
+from repro.obs import TraceChecker, TraceRecorder
 from repro.sgx.sealing import SealingPlatform
 
 
@@ -143,6 +145,43 @@ def test_single_transport_fault_is_absorbed_by_retry(site, kind):
         # Serving recovered on a fresh connection — live, not degraded.
         assert not deployment.client.last_degraded
         assert retried == baseline
+
+
+def test_blocked_engine_send_costs_exactly_the_policy_budget():
+    """Each engine exchange is one attempt of the engine leg's policy:
+    with every send dropped, one search makes ``max_attempts`` sends,
+    disposes each failed socket, and its ``enclave.engine`` span
+    records one ``retry`` event per re-attempt."""
+    from repro.core.retry import DEFAULT_ENGINE_RETRY
+    from repro.errors import EngineUnavailableError
+
+    attempts = DEFAULT_ENGINE_RETRY.max_attempts
+    plan = FaultPlan(seed=0)
+    recorder = TraceRecorder(clock=VirtualClock())
+    deployment = XSearchDeployment.create(
+        config=DeploymentConfig(seed=11, k=2,
+                                proxy_options={"fault_plan": plan}),
+        recorder=recorder)
+    with deployment:
+        deployment.client.search("warm the pool", limit=5)
+        sends = plan.operations(SITE_ENGINE_SEND)
+        before = deployment.proxy.perf_stats()
+        plan.block(SITE_ENGINE_SEND, KIND_DROP)
+        with pytest.raises(EngineUnavailableError):
+            deployment.client.search("blocked send", limit=5)
+        after = deployment.proxy.perf_stats()
+    assert plan.operations(SITE_ENGINE_SEND) - sends == attempts
+    assert after["pool_disposals"] - before["pool_disposals"] == attempts
+    assert after["engine_retries"] - before["engine_retries"] == attempts - 1
+    warm, blocked = [span for trace in recorder.traces
+                     for span in trace.walk()
+                     if span.name == "enclave.engine"]
+    assert blocked.attributes["retry.max_attempts"] == attempts
+    assert [event.name for event in warm.events].count("retry") == 0
+    assert [event.name for event in blocked.events
+            ].count("retry") == attempts - 1
+    TraceChecker(queries=("warm the pool", "blocked send")).assert_ok(
+        recorder.traces)
 
 
 def test_untyped_engine_bug_fails_only_its_search_and_names_only_its_type():

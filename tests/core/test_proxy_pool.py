@@ -67,7 +67,8 @@ def test_pool_reuses_a_single_connection(small_engine):
 
 def test_pool_reconnects_after_host_side_close(small_engine):
     """Re-connect-on-failure: if the host kills the pooled socket, the
-    next search transparently opens a fresh one."""
+    next search transparently opens a fresh one.  The stale socket
+    costs exactly one visible attempt of the engine retry policy."""
     proxy = make_proxy(small_engine)
     endpoint = connect(proxy)
     search(proxy, endpoint, "before the failure")
@@ -80,6 +81,7 @@ def test_pool_reconnects_after_host_side_close(small_engine):
     stats = proxy.perf_stats()
     assert stats["pool_connects"] == 2
     assert stats["pool_disposals"] == 1
+    assert stats["engine_retries"] == 1
     assert len(proxy.gateway._engine.observations) == 2
 
 

@@ -14,6 +14,7 @@ from repro.errors import (
     NetworkError,
     ProtocolError,
     RetryExhaustedError,
+    ServerBusyError,
     TransientError,
 )
 from repro.net.clock import VirtualClock
@@ -132,6 +133,34 @@ def test_deadline_cuts_retries_short():
     # Slept 1 s and 2 s; the next 4 s backoff would overrun the deadline.
     assert clock.sleeps == [1.0, 2.0]
     assert excinfo.value.attempts == 3
+    assert "deadline" in str(excinfo.value)
+
+
+def busy(retry_after):
+    """A factory of busy errors carrying a server's backoff hint."""
+    return lambda message: ServerBusyError(message, retry_after=retry_after)
+
+
+def test_retry_after_is_a_floor_on_the_backoff():
+    clock = VirtualClock()
+    policy = RetryPolicy(max_attempts=4, base_delay=0.1, multiplier=4.0,
+                         max_delay=10.0)
+    flaky = Flaky(failures=3, exc=busy(0.25))
+    assert call_with_retry(flaky, policy=policy, clock=clock) == "ok"
+    # The hint lifts the 0.1 s backoff; the larger 0.4 s and 1.6 s win.
+    assert clock.sleeps == [0.25, pytest.approx(0.4), pytest.approx(1.6)]
+
+
+def test_deadline_shorter_than_the_hint_gives_up_without_sleeping():
+    clock = VirtualClock()
+    flaky = Flaky(failures=5, exc=busy(2.0))
+    with pytest.raises(RetryExhaustedError) as excinfo:
+        call_with_retry(flaky, policy=RetryPolicy(max_attempts=5),
+                        clock=clock, deadline=clock.time() + 1.0)
+    assert clock.sleeps == []
+    assert flaky.calls == 1
+    assert excinfo.value.attempts == 1
+    assert isinstance(excinfo.value.last_cause, ServerBusyError)
     assert "deadline" in str(excinfo.value)
 
 

@@ -182,31 +182,49 @@ def test_connection_cap_sheds_with_busy():
 
 
 def test_reconnect_after_busy_honours_retry_after_on_virtual_clock():
-    """A BUSY at connect time is retried after exactly the server's
+    """A BUSY at connect time costs one attempt of the broker's retry
+    policy, and the wait before the next attempt honours the server's
     hint — driven on a virtual clock, so no real sleeping happens."""
+    registry = MetricsRegistry()
     with make_deployment() as deployment:
         with XSearchServer(deployment, max_connections=1,
-                           idle_timeout=None, retry_after=0.25) as server:
+                           idle_timeout=None, retry_after=0.25,
+                           registry=registry) as server:
             hog = raw_connect(server)
             hog.settimeout(5.0)
             assert _hello(hog).ftype == wire.T_WELCOME
             clock = VirtualClock()
             with pytest.raises(RetryExhaustedError) as info:
                 make_client(deployment, server, user_id="patient",
-                            clock=clock, busy_retries=2,
-                            retry_policy=RetryPolicy(max_attempts=1))
-            # Three attempts (initial + 2 retries), each rebuffed; the
-            # two between-attempt waits honour the server's hint.
+                            clock=clock,
+                            retry_policy=RetryPolicy(max_attempts=3))
+            # Three attempts, each rebuffed once; the two between-attempt
+            # waits honour the server's hint.
             assert clock.sleeps == [0.25, 0.25]
+            assert registry.counter("server.sheds").value == 3
             cause = info.value.last_cause
             assert isinstance(cause, ServerBusyError)
             assert cause.retry_after == 0.25
-            # The hog leaves; the same dance now ends in admission.
+            # The hog leaves; once the server has let it go, the same
+            # dance ends in admission.
             hog.close()
+            assert _poll(lambda: registry.gauge(
+                "server.active_connections").value == 0)
             client = make_client(deployment, server, user_id="patient",
-                                 clock=clock, busy_retries=2)
+                                 clock=clock)
             assert client.search("cheap hotel rome", limit=3)
             client.close()
+            assert clock.sleeps == [0.25, 0.25]
+
+
+def _poll(predicate, *, steps=1000, tick=0.005) -> bool:
+    """Whether ``predicate`` holds within ``steps`` ticks."""
+    pause = threading.Event()
+    for _ in range(steps):
+        if predicate():
+            return True
+        pause.wait(tick)
+    return predicate()
 
 
 # ----------------------------------------------------------------------
