@@ -295,3 +295,19 @@ def zipf_rank(n: int, rng: random.Random, s: float = 1.1) -> int:
     cumulative, total = _zipf_table(n, s)
     rank = bisect_left(cumulative, rng.random() * total)
     return rank if rank < n else n - 1
+
+
+def zipf_sampler(n: int, s: float = 1.1):
+    """Return ``draw(rng)``, the same draw as ``zipf_rank(n, rng, s)``
+    with the table looked up once, for callers that draw many ranks of
+    one ``(n, s)``."""
+    if n <= 0:
+        raise DatasetError("cannot sample from an empty vocabulary")
+    cumulative, total = _zipf_table(n, s)
+    last = n - 1
+
+    def draw(rng: random.Random) -> int:
+        rank = bisect_left(cumulative, rng.random() * total)
+        return rank if rank < n else last
+
+    return draw

@@ -49,7 +49,6 @@ from repro.errors import (
     ServerBusyError,
     scrub,
 )
-from repro.net.clock import SystemClock
 from repro.netserve import wire
 from repro.obs.tracing import PLACEMENT_CLIENT, event, span
 
@@ -66,14 +65,13 @@ class RemoteTransport:
     calls — transparently lands on a new connection.
     """
 
-    def __init__(self, address, *, clock=None,
+    def __init__(self, address, *,
                  io_timeout: float = DEFAULT_IO_TIMEOUT,
                  max_frame_bytes: int = wire.MAX_FRAME_BYTES,
                  client_name: str = "xsearch-remote",
                  recorder=None, registry=None):
         host, port = address
         self._address = (host, int(port))
-        self._clock = clock if clock is not None else SystemClock()
         self._io_timeout = io_timeout
         self._max_frame_bytes = max_frame_bytes
         self._client_name = client_name
@@ -327,7 +325,7 @@ class RemoteClient:
                  recorder=None, registry=None,
                  connect: bool = True):
         self._transport = RemoteTransport(
-            address, clock=clock, io_timeout=io_timeout,
+            address, io_timeout=io_timeout,
             client_name=f"xsearch-remote/{user_id}",
             recorder=recorder, registry=registry,
         )

@@ -16,7 +16,7 @@ from repro.datasets.topics import (
     BACKGROUND_TERMS,
     MODIFIERS,
     TopicModel,
-    zipf_rank,
+    zipf_sampler,
 )
 from repro.errors import SearchError
 from repro.search.documents import WebDocument
@@ -71,6 +71,7 @@ class CorpusGenerator:
                        rng: random.Random) -> WebDocument:
         cfg = self.config
         primary_terms = list(self.topic_model.topic_terms(topic))
+        primary_rank = zipf_sampler(len(primary_terms), 1.0)
 
         secondary_terms = []
         if rng.random() < cfg.secondary_topic_probability:
@@ -82,7 +83,7 @@ class CorpusGenerator:
         n_title = rng.randint(*cfg.title_terms)
         title_words = []
         for _ in range(n_title):
-            term = primary_terms[zipf_rank(len(primary_terms), rng, 1.0)]
+            term = primary_terms[primary_rank(rng)]
             if term not in title_words:
                 title_words.append(term)
         if rng.random() < 0.3:
@@ -101,9 +102,7 @@ class CorpusGenerator:
             elif secondary_terms and roll < cfg.background_fraction + 0.2:
                 body_words.append(rng.choice(secondary_terms))
             else:
-                body_words.append(
-                    primary_terms[zipf_rank(len(primary_terms), rng, 1.0)]
-                )
+                body_words.append(primary_terms[primary_rank(rng)])
         body = " ".join(body_words)
 
         url = f"http://www.{topic}{serial:04d}.example.com/index.html"

@@ -327,14 +327,20 @@ def test_one_enclave_crash_never_retires_a_replica():
 def test_lost_sessions_give_up_their_pins():
     """A session lost with its enclave leaves no pin behind: its broker
     heals under a new id, so after three crashes the router still pins
-    exactly the sessions the enclaves hold."""
+    exactly the sessions the enclaves hold.  Each client heals under ids
+    the ring pins to its first replica, so every crash of replica 0
+    costs its two pinned clients their sessions (a random heal id could
+    move both to replica 1, and the later crashes would never fire)."""
     plan = FaultPlan(seed=0)
     config = DeploymentConfig(seed=11, k=2, replicas=2,
                               replica_fault_plans={0: plan})
     with XSearchDeployment.create(config=config) as deployment:
         members = [h.replica_id for h in deployment.cluster.replicas]
         clients = [deployment.client] + [
-            deployment.client(user_id=sid, session_id=sid)
+            deployment.client(
+                user_id=sid, session_id=sid,
+                session_ids=iter(_ids_on(replica_id, 3, members,
+                                         prefix=f"{sid}-heal")).__next__)
             for replica_id in members
             for sid in _ids_on(replica_id, 2, members, prefix="pin")
         ]

@@ -10,6 +10,7 @@ from repro.datasets.topics import (
     TOPIC_TERMS,
     TopicModel,
     zipf_rank,
+    zipf_sampler,
 )
 from repro.errors import DatasetError
 
@@ -63,3 +64,5 @@ def test_zipf_rank_skew():
 def test_zipf_rank_empty_rejected():
     with pytest.raises(DatasetError):
         zipf_rank(0, random.Random(1))
+    with pytest.raises(DatasetError):
+        zipf_sampler(0)

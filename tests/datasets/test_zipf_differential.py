@@ -2,8 +2,9 @@
 
 ``zipf_reference`` (next to this file) rebuilds, sums and scans the
 weights on every draw.  :func:`~repro.datasets.topics.zipf_rank` draws
-from a cumulative table cached per ``(n, s)``.  After every draw both
-must return the same rank and leave their generators in the same state
+from a cumulative table cached per ``(n, s)``, and the draw that
+:func:`~repro.datasets.topics.zipf_sampler` returns from a table it
+looked up once.  After every draw each must return the same rank and leave their generators in the same state
 — over vocabulary sizes 1..64 (23 and 24 are the corpus and log sizes),
 exponents anywhere in [0, 4] plus the callers' 1.0 and 1.1, integer
 exponents, targets that land exactly on (or one float either side of)
@@ -19,7 +20,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.topics import _zipf_table, zipf_rank
+from repro.datasets.topics import _zipf_table, zipf_rank, zipf_sampler
 from zipf_reference import reference_zipf_rank
 
 sizes = st.one_of(st.integers(min_value=1, max_value=64),
@@ -45,6 +46,16 @@ def assert_same_draws(keys, seed: int, draws: int) -> None:
 @settings(max_examples=300, deadline=None)
 def test_rank_matches_reference(n, s, seed):
     assert_same_draws([(n, s)], seed, draws=50)
+
+
+@given(n=sizes, s=exponents, seed=seeds)
+@settings(max_examples=300, deadline=None)
+def test_sampler_matches_reference(n, s, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    draw = zipf_sampler(n, s)
+    for _ in range(50):
+        assert draw(rng) == reference_zipf_rank(n, ref, s)
+        assert rng.getstate() == ref.getstate()
 
 
 @given(keys=st.lists(st.tuples(sizes, exponents), min_size=2, max_size=40),
@@ -81,9 +92,11 @@ def boundary_draws(draw):
 @settings(max_examples=200, deadline=None)
 def test_ties_at_running_sums_match_reference(draws):
     us = [u for _, _, u in draws]
-    rng, ref = ScriptedRandom(us), ScriptedRandom(us)
+    rng, sampled, ref = (ScriptedRandom(us) for _ in range(3))
     for n, s, _ in draws:
-        assert zipf_rank(n, rng, s) == reference_zipf_rank(n, ref, s)
+        expected = reference_zipf_rank(n, ref, s)
+        assert zipf_rank(n, rng, s) == expected
+        assert zipf_sampler(n, s)(sampled) == expected
 
 
 def test_exact_tie_takes_the_lower_rank():
