@@ -29,7 +29,7 @@ LOCK_MAP = {
         },
     },
     "repro.core.cluster": {
-        "SessionRouter": {
+        "XSearchCluster": {
             "_ring_lock": ("_ring", "_pins", "_replicas", "_replayed"),
             "_health_lock": ("_states", "_losses"),
         },

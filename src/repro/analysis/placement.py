@@ -52,7 +52,7 @@ _EXACT = {
     "repro.core": NEUTRAL,                 # package re-exports only
     "repro.core.broker": CLIENT,
     "repro.core.client": CLIENT,
-    "repro.core.cluster": HOST,            # replica router: session ids,
+    "repro.core.cluster": HOST,            # session routing: session ids,
                                            # ciphertext records and sealed
                                            # blobs only — never plaintext
     "repro.core.deployment": NEUTRAL,      # composition root (bridge)

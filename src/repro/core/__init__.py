@@ -10,9 +10,9 @@
 * the attesting client-side broker — :class:`~repro.core.broker.Broker`;
 * the caller-runs front end that coalesces queued requests into one
   ecall — :class:`~repro.core.scheduler.RequestScheduler`;
-* the multi-enclave replica cluster and its consistent-hash session
-  router — :class:`~repro.core.cluster.XSearchCluster` /
-  :class:`~repro.core.cluster.SessionRouter`;
+* the replica cluster every deployment runs (one replica by default),
+  which consistent-hash-pins each session to one enclave replica —
+  :class:`~repro.core.cluster.XSearchCluster`;
 * one-call wiring — :class:`~repro.core.deployment.XSearchDeployment`
   configured by :class:`~repro.core.deployment.DeploymentConfig`;
 * retry/backoff policies for the fault-tolerance layer —
@@ -23,11 +23,10 @@
 from repro.core.broker import Broker
 from repro.core.client import XSearchClient
 from repro.core.cluster import (
-    DEFAULT_FAILOVER_THRESHOLD,
-    DEFAULT_VNODES,
+    FAILOVER_THRESHOLD,
+    VNODES,
     HashRing,
     ReplicaHandle,
-    SessionRouter,
     XSearchCluster,
 )
 from repro.core.deployment import DeploymentConfig, XSearchDeployment
@@ -82,11 +81,10 @@ __all__ = [
     "XSearchDeployment",
     "DeploymentConfig",
     "XSearchCluster",
-    "SessionRouter",
     "ReplicaHandle",
     "HashRing",
-    "DEFAULT_VNODES",
-    "DEFAULT_FAILOVER_THRESHOLD",
+    "VNODES",
+    "FAILOVER_THRESHOLD",
     "snapshot_history",
     "DEFAULT_K",
     "DEFAULT_HISTORY_CAPACITY",

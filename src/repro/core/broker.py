@@ -97,13 +97,14 @@ class Broker:
             session_id if session_id is not None
             else self._mint_session_id()
         )
-        # Against a cluster router the broker binds a per-session channel:
-        # every call is routed to the replica its session is pinned to
-        # (and, after a failover, to the survivor that inherited it).
-        self._router = proxy if hasattr(proxy, "for_session") else None
+        # Against a cluster (or a remote server) the broker binds a
+        # per-session channel: every call is routed to the replica its
+        # session is pinned to (and, after a failover, to the survivor
+        # that inherited it).  A bare proxy host is called directly.
+        self._frontend = proxy if hasattr(proxy, "for_session") else None
         self._proxy = (
-            self._router.for_session(self._session_id)
-            if self._router is not None else proxy
+            self._frontend.for_session(self._session_id)
+            if self._frontend is not None else proxy
         )
         self._endpoint = None
         self._retry_policy = (
@@ -194,7 +195,7 @@ class Broker:
 
         The old id may be half-established on some enclave, evicted, or
         pinned to a dead replica, so the channel and attestation go with
-        it.  Against a cluster the router channel is re-bound under the
+        it.  Against a cluster the session channel is re-bound under the
         new id: if the old replica was retired, the consistent-hash ring
         now lands the session on a survivor (which absorbed the dead
         replica's checkpoint).
@@ -202,8 +203,8 @@ class Broker:
         self._endpoint = None
         self.attested = False
         self._session_id = self._mint_session_id()
-        if self._router is not None:
-            self._proxy = self._router.for_session(self._session_id)
+        if self._frontend is not None:
+            self._proxy = self._frontend.for_session(self._session_id)
 
     def _mint_session_id(self) -> str:
         if self._session_ids is not None:

@@ -1,13 +1,13 @@
-"""Multi-enclave replica cluster: scale-out beyond one proxy (extension).
+"""The replica cluster: every deployment's frontend (extension).
 
-The paper evaluates a single X-Search enclave; its answer to "heavy
-traffic from millions of users" is horizontal — CYCLOSA distributes the
-same SGX proxy design across many enclave nodes.  This module is that
-rung: an :class:`XSearchCluster` runs N *independent* replicas (each its
-own :class:`~repro.core.proxy.XSearchProxyHost`,
+The paper serves every client from one X-Search enclave; CYCLOSA runs
+the same SGX proxy design on many enclave nodes.  Node count does not
+change the design here: every deployment is an :class:`XSearchCluster`
+of N ≥ 1 *independent* replicas (each its own
+:class:`~repro.core.proxy.XSearchProxyHost`,
 :class:`~repro.core.scheduler.RequestScheduler` and sealed history),
-fronted by a :class:`SessionRouter` that consistent-hash-pins every
-broker session to one replica.
+and the cluster consistent-hash-pins every broker session to one
+replica.  A single replica is a cluster of one.
 
 Pinning is the privacy-preserving choice, not just the cheap one: a
 session's past queries live in exactly one enclave's history, so the
@@ -17,27 +17,31 @@ to the shared measurement, and checkpoints only cross *inside* sealed
 blobs during failover).
 
 Replica lifecycle: every replica attests with the same measurement (the
-code and attested configuration are identical); the router feeds its
+code and attested configuration are identical); the cluster feeds its
 health view from the fault plane's typed errors —
 :class:`~repro.errors.EnclaveLostError` from a replica counts against
-it, and at ``failover_threshold`` consecutive losses the replica is
-retired: pulled off the hash ring, its pinned sessions re-routed to
-survivors, and its last sealed checkpoint replayed (merged) into them
-so inherited users keep warm obfuscation histories.  Brokers recover
+it, and at :data:`FAILOVER_THRESHOLD` consecutive losses the replica is
+retired, provided another healthy replica remains: it is pulled off the
+hash ring, its pinned sessions re-routed to survivors, and its last
+sealed checkpoint replayed (merged) into them so inherited users keep
+warm obfuscation histories.  The last healthy replica is never retired
+on losses — failover would have nowhere to re-pin its sessions, and its
+host's respawn heals it; only :meth:`XSearchCluster.kill_replica` and
+:meth:`XSearchCluster.remove_replica` retire it.  Brokers recover
 through their normal heal path: a re-pinned session's next record
 reaches the survivor's enclave, which holds no such session and fails
 it with :class:`~repro.errors.SessionLostError`; the broker re-attests,
 and the new session lands on a survivor.  A lost session is not
-evidence against the replica that reports it, so the router never
-counts one toward ``failover_threshold``.  A session lost either way
-gives up its pin: its broker heals under a new id.
+evidence against the replica that reports it, so the cluster never
+counts one toward :data:`FAILOVER_THRESHOLD`.  A session lost either
+way gives up its pin: its broker heals under a new id.
 
-The host-side router sees only what any untrusted cloud front end sees:
-session ids, record sizes and timing (see ``docs/THREAT_MODEL.md`` on
-routing metadata).  It never touches plaintext or channel keys — which
-is also why live sessions cannot *migrate*: their tunnel endpoint is
-inside one replica's enclave, so ring rebalance on add/remove only
-affects sessions not yet pinned.
+The cluster is host-side code and sees only what any untrusted cloud
+front end sees: session ids, record sizes and timing (see
+``docs/THREAT_MODEL.md`` on routing metadata).  It never touches
+plaintext or channel keys — which is also why live sessions cannot
+*migrate*: their tunnel endpoint is inside one replica's enclave, so
+ring rebalance on add/remove only affects sessions not yet pinned.
 """
 
 from __future__ import annotations
@@ -57,11 +61,11 @@ from repro.sim import hooks
 
 #: Virtual nodes per replica on the hash ring: enough that adding a
 #: replica steals a near-uniform 1/N share of the keyspace.
-DEFAULT_VNODES = 64
-#: Consecutive typed losses before the router retires a replica.  The
+VNODES = 64
+#: Consecutive typed losses before the cluster retires a replica.  The
 #: proxy host self-heals one-off enclave crashes (respawn + checkpoint
 #: restore), so a single loss is not yet evidence the *node* is gone.
-DEFAULT_FAILOVER_THRESHOLD = 2
+FAILOVER_THRESHOLD = 2
 
 STATE_HEALTHY = "healthy"
 STATE_DEAD = "dead"
@@ -76,27 +80,21 @@ def _ring_point(value: str) -> int:
 
 
 class HashRing:
-    """A consistent-hash ring over replica ids.
+    """A consistent-hash ring over replica ids, :data:`VNODES` points
+    per member.
 
     Pure function of its member set: the same members always produce
     the same ring, and removing one member only re-routes the keys that
     member owned (adding one steals ~1/N of the keyspace).  Not
-    thread-safe on its own — the :class:`SessionRouter` guards it with
+    thread-safe on its own — the :class:`XSearchCluster` guards it with
     its ring lock.
     """
 
-    def __init__(self, members=(), *, vnodes: int = DEFAULT_VNODES):
-        if vnodes < 1:
-            raise ValueError("a hash ring needs at least one vnode")
-        self._vnodes = vnodes
+    def __init__(self, members=()):
         self._points = []  # sorted [(point, member)]
         self._members = set()
         for member in members:
             self.add(member)
-
-    @property
-    def vnodes(self) -> int:
-        return self._vnodes
 
     def members(self) -> tuple:
         return tuple(sorted(self._members))
@@ -111,7 +109,7 @@ class HashRing:
         if member in self._members:
             raise ValueError(f"replica {member!r} is already on the ring")
         self._members.add(member)
-        for vnode in range(self._vnodes):
+        for vnode in range(VNODES):
             point = _ring_point(f"{member}#{vnode}")
             bisect.insort(self._points, (point, member))
 
@@ -139,8 +137,8 @@ class HashRing:
 class ReplicaHandle:
     """One enclave replica: its proxy host and the scheduler in front.
 
-    Deliberately dumb — health state lives in the router, under the
-    router's locks.  Traffic is dispatched to the scheduler.
+    Deliberately dumb — health state lives in the cluster, under the
+    cluster's locks.  Traffic is dispatched to the scheduler.
     """
 
     __slots__ = ("replica_id", "index", "proxy", "scheduler")
@@ -176,10 +174,10 @@ class _SessionChannel:
     lands it on the replica that inherited its history.
     """
 
-    __slots__ = ("_router", "_session_id")
+    __slots__ = ("_cluster", "_session_id")
 
-    def __init__(self, router: "SessionRouter", session_id: str):
-        self._router = router
+    def __init__(self, cluster: "XSearchCluster", session_id: str):
+        self._cluster = cluster
         self._session_id = session_id
 
     @property
@@ -188,68 +186,61 @@ class _SessionChannel:
 
     @property
     def replica_id(self):
-        return self._router.pinned(self._session_id)
-
-    @property
-    def measurement(self):
-        return self._router.measurement
+        return self._cluster.pinned(self._session_id)
 
     def attestation_evidence(self):
-        return self._router._dispatch(self._session_id,
-                                      "attestation_evidence")
+        return self._cluster._dispatch(self._session_id,
+                                       "attestation_evidence")
 
     def channel_public(self) -> bytes:
-        return self._router._dispatch(self._session_id, "channel_public")
+        return self._cluster._dispatch(self._session_id, "channel_public")
 
     def begin_session(self, session_id: str, client_hello: bytes) -> None:
-        return self._router._dispatch(self._session_id, "begin_session",
-                                      session_id, client_hello)
+        return self._cluster._dispatch(self._session_id, "begin_session",
+                                       session_id, client_hello)
 
     def request(self, session_id: str, record: bytes) -> bytes:
-        return self._router._dispatch(self._session_id, "request",
-                                      session_id, record)
+        return self._cluster._dispatch(self._session_id, "request",
+                                       session_id, record)
 
     def request_batch(self, batch) -> tuple:
-        return self._router._dispatch(self._session_id, "request_batch",
-                                      batch)
-
-    def __getattr__(self, name):
-        # Read-only passthrough (perf_stats, history_checkpoint, …) to
-        # the pinned replica's scheduler.
-        router = self._router
-        replica = router.replica_for(self._session_id)
-        return getattr(replica.scheduler, name)
+        return self._cluster._dispatch(self._session_id, "request_batch",
+                                       batch)
 
     def __repr__(self) -> str:
         return (f"<session channel {self._session_id!r} "
                 f"→ {self.replica_id!r}>")
 
 
-class SessionRouter:
-    """Consistent-hash session routing plus replica health tracking.
+class XSearchCluster:
+    """N ≥ 1 independent enclave replicas behind one consistent-hash
+    ring, with replica health tracking.
+
+    Build it through :meth:`repro.core.deployment.XSearchDeployment.create`
+    (``DeploymentConfig(replicas=N)``), which wires shared attestation,
+    a shared sealing platform and per-replica fault plans; or construct
+    it directly from pre-built :class:`ReplicaHandle`\\ s in tests.
 
     Two locks, acquired ring-before-health everywhere (and registered
     with xlint's ``LOCK_ORDER``): ``_ring_lock`` guards membership, the
     ring and the session pins; ``_health_lock`` guards the health
     states and consecutive-loss counters.  Dispatch itself runs
-    lock-free — the router resolves the pin, releases, then calls the
+    lock-free — the cluster resolves the pin, releases, then calls the
     replica, so one slow replica cannot serialise the cluster.
     """
 
-    def __init__(self, replicas, *, vnodes: int = DEFAULT_VNODES,
-                 failover_threshold: int = DEFAULT_FAILOVER_THRESHOLD,
-                 recorder=None, registry=None):
+    def __init__(self, replicas, *, replica_factory=None, recorder=None,
+                 registry=None):
         replicas = list(replicas)
         if not replicas:
             raise ValueError("a cluster needs at least one replica")
-        if failover_threshold < 1:
-            raise ValueError("failover_threshold must be >= 1")
         self._recorder = recorder
         self._registry = registry
-        self._failover_threshold = failover_threshold
+        self._replica_factory = replica_factory
+        self._next_index = max(handle.index for handle in replicas) + 1
         self._ring_lock = threading.RLock()
         self._health_lock = threading.Lock()
-        self._ring = HashRing(vnodes=vnodes)
+        self._ring = HashRing()
         self._replicas = {}   # replica_id -> ReplicaHandle (dead kept)
         self._pins = {}       # session_id -> replica_id
         self._replayed = {}   # replica_id -> checkpoint blob replayed
@@ -257,7 +248,7 @@ class SessionRouter:
         self._losses = {}     # replica_id -> consecutive typed losses
         self.failovers = 0
         for handle in replicas:
-            self.admit(handle)
+            self._admit(handle)
         if registry is not None:
             registry.gauge("cluster.ring_size").set_function(
                 lambda: self.ring_size)
@@ -269,7 +260,7 @@ class SessionRouter:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def admit(self, handle: ReplicaHandle) -> None:
+    def _admit(self, handle: ReplicaHandle) -> None:
         """Add a replica to the ring.  Rebalance only affects sessions
         not yet pinned: a live session's channel keys are inside its
         replica's enclave, so it cannot migrate."""
@@ -292,16 +283,12 @@ class SessionRouter:
             raise ValueError(f"unknown replica {replica_id!r}")
         return handle
 
+    @property
     def replicas(self) -> tuple:
         """Every admitted replica (dead ones included), spawn order."""
         with self._ring_lock:
             handles = list(self._replicas.values())
         return tuple(sorted(handles, key=lambda handle: handle.index))
-
-    @property
-    def replica_count(self) -> int:
-        with self._ring_lock:
-            return len(self._replicas)
 
     @property
     def ring_size(self) -> int:
@@ -321,28 +308,12 @@ class SessionRouter:
 
     def healthy_replicas(self) -> tuple:
         healthy = set(self.healthy_ids())
-        return tuple(handle for handle in self.replicas()
+        return tuple(handle for handle in self.replicas
                      if handle.replica_id in healthy)
 
     def state_of(self, replica_id: str) -> str:
         with self._health_lock:
             return self._states.get(replica_id, STATE_DEAD)
-
-    @property
-    def primary(self) -> ReplicaHandle:
-        """The lowest-index healthy replica (all replicas share one
-        measurement, so any healthy one can serve attestation)."""
-        healthy = self.healthy_replicas()
-        if healthy:
-            return healthy[0]
-        replicas = self.replicas()
-        if not replicas:
-            raise EnclaveError("cluster has no replicas")
-        return replicas[0]
-
-    @property
-    def measurement(self):
-        return self.primary.measurement
 
     # ------------------------------------------------------------------
     # Routing
@@ -352,11 +323,6 @@ class SessionRouter:
         with self._ring_lock:
             self._resolve_locked(session_id)
         return _SessionChannel(self, session_id)
-
-    def replica_for(self, session_id: str) -> ReplicaHandle:
-        """Resolve (and pin) the replica serving a session."""
-        with self._ring_lock:
-            return self._resolve_locked(session_id)
 
     def pinned(self, session_id: str):
         """The session's current pin, or ``None`` if never routed or
@@ -390,38 +356,34 @@ class SessionRouter:
     # ------------------------------------------------------------------
     # Dispatch with health accounting
     # ------------------------------------------------------------------
-    def _dispatch(self, session_id: str, name: str, *args, **kwargs):
-        replica = self.replica_for(session_id)
-        try:
-            return self._dispatch_replica(replica, name, *args, **kwargs)
-        except (SessionLostError, EnclaveLostError):
-            # The session's keys are gone and its broker heals under a
-            # new id, so the pin would never be used again.
-            with self._ring_lock:
-                self._pins.pop(session_id, None)
-            raise
-
-    def _dispatch_replica(self, replica: ReplicaHandle, name: str,
-                          *args, **kwargs):
+    def _dispatch(self, session_id: str, name: str, *args):
+        with self._ring_lock:
+            replica = self._resolve_locked(session_id)
         replica_id = replica.replica_id
         # Interleaving point before the replica call, outside every
-        # router lock: the simulation reorders dispatches against
+        # cluster lock: the simulation reorders dispatches against
         # failovers and checkpoint replays here.
         hooks.step("cluster.dispatch", op=name, replica=replica_id)
         with span(self._recorder, f"cluster.{name}",
                   placement=PLACEMENT_HOST, replica=replica_id):
             try:
-                result = getattr(replica.scheduler, name)(*args, **kwargs)
+                result = getattr(replica.scheduler, name)(*args)
             except SessionLostError:
-                raise       # the session is gone, not the replica
+                # The session is gone, not the replica.  Its keys are
+                # gone too and its broker heals under a new id, so the
+                # pin would never be used again.
+                self._forget(session_id)
+                raise
             except EnclaveLostError:
                 self._note_loss(replica_id)
+                self._forget(session_id)
                 raise
             except EnclaveError as exc:
                 if self.state_of(replica_id) == STATE_DEAD:
                     # A retired replica's "host is closed" must read as
                     # a loss: the broker heals, the new session routes
                     # to the survivor that inherited this user.
+                    self._forget(session_id)
                     raise EnclaveLostError(
                         f"replica {replica_id} is retired; reconnect to "
                         f"be re-routed to a survivor"
@@ -430,14 +392,9 @@ class SessionRouter:
             self._note_ok(replica_id)
             return result
 
-    def attestation_evidence(self):
-        """Session-less attestation (e.g. monitoring): any healthy
-        replica serves it — they all share one measurement."""
-        return self._dispatch_replica(self.primary, "attestation_evidence")
-
-    def begin_session(self, session_id: str, client_hello: bytes) -> None:
-        return self._dispatch(session_id, "begin_session",
-                              session_id, client_hello)
+    def _forget(self, session_id: str) -> None:
+        with self._ring_lock:
+            self._pins.pop(session_id, None)
 
     # ------------------------------------------------------------------
     # Health and failover
@@ -452,8 +409,8 @@ class SessionRouter:
               replica=replica_id, consecutive=losses)
         if self._registry is not None:
             self._registry.counter("cluster.replica_losses").inc()
-        if losses >= self._failover_threshold:
-            self.failover(replica_id)
+        if losses >= FAILOVER_THRESHOLD:
+            self._retire(replica_id, keep_last=True)
 
     def _note_ok(self, replica_id: str) -> None:
         with self._health_lock:
@@ -467,8 +424,15 @@ class SessionRouter:
 
         A call on a replica already retired moves nothing, but replays
         a checkpoint published since the last replay: a client's
-        failover can race :meth:`XSearchCluster.kill_replica` and replay
-        before the kill's final checkpoint exists."""
+        failover can race :meth:`kill_replica` and replay before the
+        kill's final checkpoint exists."""
+        return self._retire(replica_id, keep_last=False)
+
+    def _retire(self, replica_id: str, *, keep_last: bool) -> int:
+        """:meth:`failover`; with ``keep_last`` a no-op when no other
+        healthy replica remains (the decision and the retirement share
+        one locked section, so two replicas losing at once cannot
+        retire each other)."""
         hooks.step("cluster.failover", replica=replica_id)
         with self._ring_lock:
             handle = self._replicas.get(replica_id)
@@ -476,6 +440,11 @@ class SessionRouter:
                 raise ValueError(f"unknown replica {replica_id!r}")
             with self._health_lock:
                 retired = self._states.get(replica_id) == STATE_DEAD
+                if keep_last and not retired and not any(
+                        state == STATE_HEALTHY
+                        for other, state in self._states.items()
+                        if other != replica_id):
+                    return 0
                 self._states[replica_id] = STATE_DEAD
             if not retired:
                 if replica_id in self._ring:
@@ -536,54 +505,6 @@ class SessionRouter:
                   source=handle.replica_id,
                   replica=survivor.replica_id, entries=entries)
 
-
-class XSearchCluster:
-    """N independent enclave replicas behind one consistent-hash router.
-
-    Build it through :meth:`repro.core.deployment.XSearchDeployment.create`
-    (``DeploymentConfig(replicas=N)``), which wires shared attestation,
-    a shared sealing platform and per-replica fault plans; or construct
-    it directly from pre-built :class:`ReplicaHandle`\\ s in tests.
-    """
-
-    def __init__(self, replicas, *, vnodes: int = DEFAULT_VNODES,
-                 failover_threshold: int = DEFAULT_FAILOVER_THRESHOLD,
-                 replica_factory=None, recorder=None, registry=None):
-        replicas = list(replicas)
-        self.router = SessionRouter(
-            replicas, vnodes=vnodes,
-            failover_threshold=failover_threshold,
-            recorder=recorder, registry=registry,
-        )
-        self._recorder = recorder
-        self._replica_factory = replica_factory
-        self._next_index = max(handle.index for handle in replicas) + 1
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def frontend(self) -> SessionRouter:
-        return self.router
-
-    @property
-    def replicas(self) -> tuple:
-        return self.router.replicas()
-
-    @property
-    def size(self) -> int:
-        return self.router.replica_count
-
-    @property
-    def measurement(self):
-        return self.router.measurement
-
-    def replica(self, replica_id: str) -> ReplicaHandle:
-        return self.router.replica(replica_id)
-
-    def healthy_replicas(self) -> tuple:
-        return self.router.healthy_replicas()
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -591,9 +512,9 @@ class XSearchCluster:
         """The experiments' deterministic kill switch: close the
         replica's host (taking its final checkpoint when sealing is on)
         and fail it over.  Returns the number of sessions re-pinned."""
-        handle = self.router.replica(replica_id)
+        handle = self.replica(replica_id)
         handle.close()
-        moved = self.router.failover(replica_id)
+        moved = self.failover(replica_id)
         event(self._recorder, "cluster.kill", replica=replica_id,
               sessions_moved=moved)
         return moved
@@ -609,18 +530,18 @@ class XSearchCluster:
         index = self._next_index
         self._next_index += 1
         handle = self._replica_factory(index)
-        self.router.admit(handle)
+        self._admit(handle)
         return handle
 
     def remove_replica(self, replica_id: str) -> int:
         """Graceful drain: checkpoint, retire (re-pinning its sessions
         and replaying the fresh checkpoint into survivors), close."""
-        handle = self.router.replica(replica_id)
+        handle = self.replica(replica_id)
         try:
             handle.proxy.checkpoint_now()
         except ReproError:
             pass  # no sealing configured: survivors inherit cold
-        moved = self.router.failover(replica_id)
+        moved = self.failover(replica_id)
         handle.close()
         return moved
 

@@ -4,10 +4,10 @@ Builds every premise of the adversary model: the trusted client domain
 (client + broker), the untrusted cloud node (proxy host + enclave +
 quoting enclave), the attestation service and the honest-but-curious
 search engine — and connects them exactly the way the protocol
-prescribes.  With ``DeploymentConfig(replicas=N)`` the cloud node
-becomes an :class:`~repro.core.cluster.XSearchCluster`: N independent
-enclave replicas behind a consistent-hash
-:class:`~repro.core.cluster.SessionRouter`.
+prescribes.  The cloud node is always an
+:class:`~repro.core.cluster.XSearchCluster`: ``DeploymentConfig(replicas=N)``
+independent enclave replicas (one by default) behind a consistent-hash
+ring that pins every broker session to one of them.
 
 The deployment is also the recommended API surface: it is a context
 manager (``with XSearchDeployment.create(...) as deployment:``) whose
@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.broker import Broker
 from repro.core.client import XSearchClient
-from repro.core.cluster import (
-    DEFAULT_FAILOVER_THRESHOLD,
-    DEFAULT_VNODES,
-    ReplicaHandle,
-    XSearchCluster,
-)
+from repro.core.cluster import ReplicaHandle, XSearchCluster
 from repro.core.proxy import (
     DEFAULT_HISTORY_CAPACITY,
     DEFAULT_K,
@@ -75,8 +70,6 @@ class DeploymentConfig:
     retry_policy: RetryPolicy = None
     max_workers: int = DEFAULT_MAX_WORKERS
     replicas: int = 1
-    vnodes: int = DEFAULT_VNODES
-    failover_threshold: int = DEFAULT_FAILOVER_THRESHOLD
     replica_fault_plans: dict = None
     proxy_options: dict = field(default_factory=dict)
 
@@ -89,10 +82,6 @@ class DeploymentConfig:
             raise ValueError("a deployment needs at least one replica")
         if self.max_workers is None or self.max_workers < 1:
             raise ValueError("max_workers must be a positive int")
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        if self.failover_threshold < 1:
-            raise ValueError("failover_threshold must be >= 1")
         # Freeze owned copies so a caller mutating their dict afterwards
         # cannot change an already-built deployment's meaning.
         object.__setattr__(self, "proxy_options", dict(self.proxy_options))
@@ -113,8 +102,8 @@ class _ClientFacade:
     deployment's default client; *calling* it
     (``deployment.client(user_id="bob")``) mints a new attested client
     with its own broker session.  Minted clients go
-    through ``deployment.frontend`` — the same scheduler (or cluster
-    router) the default client uses — never straight at a proxy.
+    through ``deployment.frontend`` — the cluster the default client
+    uses — never straight at a proxy.
     """
 
     __slots__ = ("_deployment",)
@@ -194,11 +183,11 @@ class XSearchDeployment:
         ``i`` derives ``seed + i`` so fake-query streams are independent
         but reproducible).
 
-        With ``config.replicas > 1`` the deployment runs a replica
-        cluster: ``deployment.cluster`` holds it, ``deployment.frontend``
-        is its session router, and ``deployment.proxy`` /
-        ``deployment.scheduler`` keep pointing at replica 0 so existing
-        single-node tooling still works.
+        Every deployment runs a cluster of ``config.replicas`` replicas
+        (one by default): ``deployment.cluster`` holds it and is
+        ``deployment.frontend``, and ``deployment.proxy`` /
+        ``deployment.scheduler`` point at replica 0 so single-node
+        tooling can reach one replica's host directly.
         """
         if config is None:
             config = DeploymentConfig()
@@ -260,8 +249,6 @@ class XSearchDeployment:
                    for index in range(config.replicas)]
         cluster = XSearchCluster(
             handles,
-            vnodes=config.vnodes,
-            failover_threshold=config.failover_threshold,
             replica_factory=build_replica,
             recorder=recorder,
             registry=registry,
@@ -298,14 +285,11 @@ class XSearchDeployment:
     # The client surface
     # ------------------------------------------------------------------
     @property
-    def frontend(self):
-        """What brokers talk to: the cluster's session router when more
-        than one replica is deployed, otherwise the replica's
-        :class:`RequestScheduler`.  Every request crosses through a
-        scheduler either way: the router dispatches to each replica's."""
-        if self.cluster.size > 1:
-            return self.cluster.router
-        return self.scheduler
+    def frontend(self) -> XSearchCluster:
+        """What brokers talk to: the cluster, for every replica count.
+        It pins each session to one replica and dispatches to that
+        replica's :class:`RequestScheduler`."""
+        return self.cluster
 
     @property
     def client(self) -> _ClientFacade:

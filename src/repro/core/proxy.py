@@ -912,8 +912,8 @@ class XSearchProxyHost:
             if self._closed:
                 # A closed host means its enclave (and every session key
                 # inside it) is gone — a *loss*, not a hard protocol
-                # error: clients re-attest elsewhere, and a cluster
-                # router counts the loss toward failover.
+                # error: clients re-attest elsewhere, and the cluster
+                # counts the loss toward failover.
                 raise EnclaveLostError("proxy host is closed")
             if not self.enclave.is_initialized:
                 self._respawn_locked()

@@ -106,7 +106,7 @@ class SessionLostError(EnclaveLostError):
     previous enclave, or lives on a replica that failed over.  The
     enclave is fine; only the session is gone, so the broker's heal
     (re-attest, fresh session id, new handshake) is the recovery, and a
-    cluster router does not count it against the replica.
+    cluster does not count it against the replica.
     """
 
 

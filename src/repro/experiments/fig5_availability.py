@@ -21,7 +21,7 @@ respawned enclave re-attests under the original measurement, and the
 restored history is exactly the checkpointed one.
 
 :func:`run_kill_one` is the cluster's counterpart: a replica killed
-mid-stream behind the session router, with the re-pinned sessions
+mid-stream behind the cluster's hash ring, with the re-pinned sessions
 healing onto the survivor.
 """
 
@@ -259,21 +259,21 @@ def run_kill_one(*, clients: int = 6,
                               session_id=f"avail-{i:04d}")
             for i in range(clients)
         ]
-        router = deployment.cluster.router
+        cluster = deployment.cluster
         for index in range(total_requests):
             if index == total_requests // 2:
-                pins = Counter(router.ring_map(
+                pins = Counter(cluster.ring_map(
                     client._broker._session_id for client in minted
                 ).values())
                 victim = min(pins, key=lambda rid: (-pins[rid], rid))
-                deployment.cluster.kill_replica(victim)
+                cluster.kill_replica(victim)
             try:
                 minted[index % clients].search(
                     QUERY_POOL[index % len(QUERY_POOL)], limit=3)
             except ReproError:
                 continue
             ok += 1
-        survivors = router.healthy_ids()
+        survivors = cluster.healthy_ids()
     return ClusterAvailabilityResult(
         clients=clients,
         requests=total_requests,

@@ -10,7 +10,7 @@ size.  What stands in front of the load is a *topology*:
 * :class:`InProcess` — one enclave, at most ``workers`` crossings in
   flight, every lane an in-process client session;
 * :class:`Cluster` — ``replicas`` enclave replicas behind the
-  consistent-hash session router, lanes spread evenly over the ring;
+  cluster's consistent-hash ring, lanes spread evenly over it;
 * :class:`Server` — :class:`InProcess` behind the TCP serving layer,
   every lane a :class:`~repro.netserve.client.RemoteClient` on its own
   loopback connection.
@@ -327,7 +327,7 @@ def _remote_clients(deployment, user_ids):
 @dataclass(frozen=True)
 class Cluster:
     """``replicas`` enclave replicas, each with its own scheduler and
-    sealed history, behind the consistent-hash session router."""
+    sealed history, behind the cluster's consistent-hash ring."""
 
     replicas: int
     mode_prefix: ClassVar[str] = ""
@@ -344,9 +344,9 @@ class Cluster:
         ])
 
     def shape(self, deployment, lanes: int) -> dict:
-        # ring_map is a pure preview of the routing, so it also covers
-        # replicas=1 (where brokers bypass the router).
-        pins = Counter(deployment.cluster.router.ring_map(
+        # ring_map is a pure preview of the routing: the pins the lanes'
+        # sessions get.
+        pins = Counter(deployment.cluster.ring_map(
             self._balanced_session_ids(lanes)).values())
         return {
             "replicas": self.replicas,

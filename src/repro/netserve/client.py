@@ -11,7 +11,7 @@ Three layers, outermost first:
   server relays sealed records it cannot read.
 * :class:`RemoteFrontend` — the broker's view of the far end.  It
   exposes ``for_session``, so the broker treats the server like a
-  cluster router and re-binds its per-session channel on every heal;
+  deployment's cluster and re-binds its per-session channel on every heal;
   the session id travels in each frame and the server routes it to
   the pinned replica.
 * :class:`RemoteTransport` — one TCP connection speaking
@@ -233,7 +233,7 @@ class RemoteTransport:
 class _RemoteChannel:
     """Per-session view of the server, shaped like a cluster's
     ``_SessionChannel`` — which is why the broker can treat the
-    :class:`RemoteFrontend` exactly like a router."""
+    :class:`RemoteFrontend` exactly like a cluster."""
 
     def __init__(self, transport: RemoteTransport, session_id: str):
         self._transport = transport
@@ -298,7 +298,7 @@ class _RemoteChannel:
 
 
 class RemoteFrontend:
-    """What the broker binds to: a router-shaped facade over the wire."""
+    """What the broker binds to: a cluster-shaped facade over the wire."""
 
     def __init__(self, transport: RemoteTransport):
         self.transport = transport

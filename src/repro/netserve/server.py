@@ -4,7 +4,8 @@ The untrusted cloud node of the paper, finally reachable the way the
 paper deploys it: clients connect over TCP, speak the
 :mod:`repro.netserve.wire` protocol, and every sealed record is handed
 to the wrapped :class:`~repro.core.deployment.XSearchDeployment`'s
-frontend — the request scheduler, or the cluster's session router.
+frontend, its :class:`~repro.core.cluster.XSearchCluster`, which routes
+the record's session to the scheduler of the replica it is pinned to.
 The server is *host-placed* code: it touches session ids, ciphertext
 records and frame sizes, never plaintext (its spans record exactly
 that, and the trace oracle proves it).
@@ -284,10 +285,11 @@ class _Connection:
 class XSearchServer:
     """Threaded TCP server exposing a deployment over the wire protocol.
 
-    ``deployment`` is any object with a ``frontend`` attribute speaking
-    the proxy call surface (and optionally ``recorder`` / ``registry``
-    / ``fault_plan`` hooks) — in practice an
-    :class:`~repro.core.deployment.XSearchDeployment`.  The server does
+    ``deployment`` is any object whose ``frontend`` hands out
+    per-session channels through ``for_session`` (and optionally
+    carrying ``recorder`` / ``registry`` hooks) — in practice an
+    :class:`~repro.core.deployment.XSearchDeployment`, whose frontend
+    is its cluster for every replica count.  The server does
     not own the deployment: ``close()`` drains the network layer only.
 
     Bind to ``port=0`` (the default) for an ephemeral port and read the
@@ -470,11 +472,8 @@ class XSearchServer:
     # Dispatch plumbing (called from connection threads)
     # ------------------------------------------------------------------
     def _channel_for(self, session_id: str):
-        """The per-session view of the deployment's frontend."""
-        frontend = self._deployment.frontend
-        if hasattr(frontend, "for_session"):
-            return frontend.for_session(session_id)
-        return frontend
+        """The per-session view of the deployment's cluster."""
+        return self._deployment.frontend.for_session(session_id)
 
     def _is_draining(self) -> bool:
         with self._state_lock:

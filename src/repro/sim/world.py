@@ -1,7 +1,7 @@
 """Whole-deployment simulation worlds: build, drive, audit.
 
-:func:`run_sim` stands up a complete X-Search deployment (cluster of
-enclave replicas, router, per-client attested brokers), spawns client
+:func:`run_sim` stands up a complete X-Search deployment (a cluster of
+enclave replicas and per-client attested brokers), spawns client
 and chaos tasks on a :class:`~repro.sim.scheduler.SimScheduler`, drives
 the whole thing through one seeded interleaving, and evaluates every
 :mod:`~repro.sim.invariants` oracle over what happened.  The result is
@@ -117,7 +117,6 @@ class WorldSpec:
     k: int = 2
     history_capacity: int = 48
     checkpoint_interval: int = 4
-    failover_threshold: int = 2
     chaos: tuple = ()
     mutation: str = None
     max_steps: int = 20_000
@@ -197,13 +196,6 @@ class SimWorld:
     def cluster(self):
         return self.deployment.cluster
 
-    @property
-    def router(self):
-        """The session router, or None for single-replica worlds."""
-        if self.cluster.size > 1:
-            return self.cluster.router
-        return None
-
 
 @dataclass
 class SimReport:
@@ -250,11 +242,9 @@ def _session_factory(spec: WorldSpec, client: int):
 
 
 def _observe_pin(world: SimWorld, broker: Broker) -> None:
-    router = world.router
-    if router is None:
-        return
+    cluster = world.cluster
     session_id = broker._session_id
-    pin = router.pinned(session_id)
+    pin = cluster.pinned(session_id)
     if pin is None:
         # A lost session's pin is dropped: nothing to observe.  The last
         # pin seen is kept, so a later re-pin elsewhere still counts.
@@ -262,7 +252,7 @@ def _observe_pin(world: SimWorld, broker: Broker) -> None:
     previous = world.last_pins.get(session_id)
     if previous is not None and pin != previous:
         world.pin_changes.append(
-            (session_id, previous, pin, router.state_of(previous))
+            (session_id, previous, pin, cluster.state_of(previous))
         )
     world.last_pins[session_id] = pin
 
@@ -307,8 +297,7 @@ def _chaos_task(world: SimWorld):
 
 def _run_chaos_action(world: SimWorld, action: str) -> None:
     cluster = world.cluster
-    router = cluster.router
-    healthy = sorted(router.healthy_ids())
+    healthy = sorted(cluster.healthy_ids())
     if action == "kill" and len(healthy) > 1:
         victim = healthy[-1]
         handle = cluster.replica(victim)
@@ -319,7 +308,7 @@ def _run_chaos_action(world: SimWorld, action: str) -> None:
         world.kill_log.append({
             "victim": victim,
             "blob": handle.proxy.history_checkpoint is not None,
-            "survivors": len(router.healthy_ids()),
+            "survivors": len(cluster.healthy_ids()),
         })
     elif action == "crash" and healthy:
         index = _replica_index(healthy[-1])
@@ -398,7 +387,6 @@ def run_sim(spec: WorldSpec, *, attestation=None, engine=None,
         seed=spec.seed,
         replicas=spec.replicas,
         max_workers=SIM_MAX_WORKERS,
-        failover_threshold=spec.failover_threshold,
         replica_fault_plans=plans,
         # The default broker would mint a random session id and perturb
         # ring placement; the sim connects only its own brokers.

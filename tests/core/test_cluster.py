@@ -10,12 +10,18 @@ sealed checkpoint, and the displaced brokers re-attest transparently).
 
 from __future__ import annotations
 
+import sys
+import threading
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import (
     DeploymentConfig,
     HashRing,
+    ReplicaHandle,
     RetryPolicy,
+    XSearchCluster,
     XSearchDeployment,
 )
 from repro.core.cluster import _ring_point
@@ -24,10 +30,10 @@ from repro.faults import KIND_CRASH, SITE_ECALL, FaultPlan
 from repro.obs import TraceChecker, TraceRecorder
 
 
-def _ids_on(replica_id: str, count: int, members, *, vnodes=64,
+def _ids_on(replica_id: str, count: int, members, *,
             prefix="sess") -> list:
     """Deterministic session ids that the ring pins to ``replica_id``."""
-    ring = HashRing(members, vnodes=vnodes)
+    ring = HashRing(members)
     out = []
     salt = 0
     while len(out) < count:
@@ -43,14 +49,14 @@ def _ids_on(replica_id: str, count: int, members, *, vnodes=64,
 # ----------------------------------------------------------------------
 def test_ring_is_a_pure_function_of_the_member_set():
     keys = [f"key-{i}" for i in range(100)]
-    one = HashRing(["a", "b", "c"], vnodes=64)
-    two = HashRing(["c", "a", "b"], vnodes=64)  # insertion order differs
+    one = HashRing(["a", "b", "c"])
+    two = HashRing(["c", "a", "b"])  # insertion order differs
     assert [one.route(k) for k in keys] == [two.route(k) for k in keys]
 
 
 def test_adding_a_member_only_steals_keys_for_the_newcomer():
     keys = [f"key-{i}" for i in range(200)]
-    ring = HashRing(["a", "b", "c"], vnodes=64)
+    ring = HashRing(["a", "b", "c"])
     before = {k: ring.route(k) for k in keys}
     ring.add("d")
     after = {k: ring.route(k) for k in keys}
@@ -64,7 +70,7 @@ def test_adding_a_member_only_steals_keys_for_the_newcomer():
 
 def test_removing_a_member_only_moves_its_own_keys():
     keys = [f"key-{i}" for i in range(200)]
-    ring = HashRing(["a", "b", "c"], vnodes=64)
+    ring = HashRing(["a", "b", "c"])
     before = {k: ring.route(k) for k in keys}
     ring.remove("b")
     after = {k: ring.route(k) for k in keys}
@@ -85,7 +91,7 @@ def test_ring_rejects_duplicates_and_empty_routing():
 
 
 def test_ring_points_are_stable_64_bit_values():
-    # The ring hash is part of the routing contract (a restarted router
+    # The ring hash is part of the routing contract (a restarted cluster
     # must re-derive identical pins), so pin its construction.
     point = _ring_point("replica-0#0")
     assert 0 <= point < 2 ** 64
@@ -98,14 +104,14 @@ def test_ring_points_are_stable_64_bit_values():
 def test_sessions_pin_stably_and_match_the_ring_preview():
     config = DeploymentConfig(seed=11, k=2, replicas=3, connect=False)
     with XSearchDeployment.create(config=config) as deployment:
-        router = deployment.cluster.router
+        cluster = deployment.cluster
         ids = [f"pin-{i:03d}" for i in range(12)]
-        preview = router.ring_map(ids)
+        preview = cluster.ring_map(ids)
         for session_id in ids:
-            channel = router.for_session(session_id)
-            assert router.pinned(session_id) == preview[session_id]
+            channel = cluster.for_session(session_id)
+            assert cluster.pinned(session_id) == preview[session_id]
             # Re-resolving never migrates a live session.
-            assert router.for_session(session_id).replica_id \
+            assert cluster.for_session(session_id).replica_id \
                 == channel.replica_id
 
 
@@ -177,16 +183,16 @@ def test_kill_replica_repins_and_brokers_heal_onto_survivors():
         for client in clients.values():
             assert len(client.search("museum train", limit=2)) >= 0
 
-        router = deployment.cluster.router
+        cluster = deployment.cluster
         # The deployment's default broker pins one randomly-named
         # session too; count exactly what sits on the victim before
         # the kill rather than assuming only our minted sessions.
-        expected = len(router.sessions_on("replica-1"))
+        expected = len(cluster.sessions_on("replica-1"))
         assert expected >= len(victims)
         moved = deployment.cluster.kill_replica("replica-1")
         assert moved == expected
-        assert router.healthy_ids() == ("replica-0",)
-        assert router.state_of("replica-1") == "dead"
+        assert cluster.healthy_ids() == ("replica-0",)
+        assert cluster.state_of("replica-1") == "dead"
 
         # Every client — displaced or not — still gets exactly one
         # answer per request; the displaced ones healed exactly once.
@@ -199,11 +205,11 @@ def test_kill_replica_repins_and_brokers_heal_onto_survivors():
             == [0, 0]
         # Healed sessions now live on the survivor.
         for sid, client in clients.items():
-            assert router.pinned(client._broker._session_id) \
+            assert cluster.pinned(client._broker._session_id) \
                 == "replica-0"
         # A displaced session reaching the survivor is not evidence
         # against it.
-        assert router._losses["replica-0"] == 0
+        assert cluster._losses["replica-0"] == 0
     violations = TraceChecker().check_recorder(recorder)
     assert violations == []
 
@@ -222,7 +228,7 @@ def test_kill_replica_is_idempotent_and_replays_the_checkpoint():
         entries_before = survivor.proxy.checkpoint_now()
 
         deployment.cluster.kill_replica("replica-1")
-        assert deployment.cluster.router.failover("replica-1") == 0
+        assert deployment.cluster.failover("replica-1") == 0
 
         # The survivor absorbed the victim's sealed checkpoint, so the
         # ingested queries obfuscate future traffic from day one.
@@ -244,7 +250,7 @@ def test_a_kill_raced_by_a_failover_still_replays_its_final_checkpoint():
         victim = deployment.cluster.replica("replica-1")
         assert victim.proxy.history_checkpoint is None
 
-        deployment.cluster.router.failover("replica-1")
+        deployment.cluster.failover("replica-1")
         deployment.cluster.kill_replica("replica-1")
 
         entries_after = survivor.proxy.checkpoint_now()
@@ -255,7 +261,6 @@ def test_replica_scoped_fault_plan_drives_automatic_failover():
     plan = FaultPlan(seed=0)
     config = DeploymentConfig(
         seed=11, k=2, replicas=2, connect=False,
-        failover_threshold=2,
         replica_fault_plans={1: plan},
     )
     policy = RetryPolicy(max_attempts=4, base_delay=0.0)
@@ -272,7 +277,7 @@ def test_replica_scoped_fault_plan_drives_automatic_failover():
 
         # From here every ecall into replica-1 crashes its enclave; the
         # host respawns it but the losses count, and at the threshold
-        # the router retires the replica and re-pins its sessions.
+        # the cluster retires the replica and re-pins its sessions.
         plan.block(SITE_ECALL, KIND_CRASH)
         outcomes = []
         for _ in range(3):
@@ -283,13 +288,13 @@ def test_replica_scoped_fault_plan_drives_automatic_failover():
                     outcomes.append("error")
                 else:
                     outcomes.append("ok")
-        router = deployment.cluster.router
-        assert router.state_of("replica-1") == "dead"
-        assert router.healthy_ids() == ("replica-0",)
+        cluster = deployment.cluster
+        assert cluster.state_of("replica-1") == "dead"
+        assert cluster.healthy_ids() == ("replica-0",)
         # Once failed over, everyone is served by the survivor.
         for client in clients:
             assert isinstance(client.search("city hotel", limit=2), list)
-            assert router.pinned(client._broker._session_id) \
+            assert cluster.pinned(client._broker._session_id) \
                 == "replica-0"
         assert "ok" in outcomes  # the cluster never went fully dark
 
@@ -318,15 +323,87 @@ def test_one_enclave_crash_never_retires_a_replica():
                          retry_policy=RetryPolicy(max_attempts=1))
         assert isinstance(second.search("river cruise", limit=2), list)
 
-        router = deployment.cluster.router
+        cluster = deployment.cluster
         assert second._broker.reconnects == 1
-        assert router.healthy_ids() == ("replica-0", "replica-1")
-        assert router.failovers == 0
+        assert cluster.healthy_ids() == ("replica-0", "replica-1")
+        assert cluster.failovers == 0
+
+
+def test_the_last_healthy_replica_is_never_retired_on_losses():
+    """With replica-1 killed, two consecutive crashes of replica-0 are
+    two losses of the only replica left.  Retiring it would empty the
+    ring for good; instead its host respawns it and the broker heals."""
+    plan = FaultPlan(seed=0)
+    config = DeploymentConfig(seed=11, k=2, replicas=2, connect=False,
+                              replica_fault_plans={0: plan})
+    with XSearchDeployment.create(config=config) as deployment:
+        cluster = deployment.cluster
+        client = deployment.client(user_id="last")
+        assert isinstance(client.search("museum train", limit=2), list)
+        cluster.kill_replica("replica-1")
+
+        handle = plan.block(SITE_ECALL, KIND_CRASH)
+        with pytest.raises(ReproError):
+            client.search("river cruise", limit=2)
+        plan.unblock(handle)
+
+        assert isinstance(client.search("city hotel", limit=2), list)
+        assert cluster.healthy_ids() == ("replica-0",)
+        assert cluster.failovers == 1
+        assert cluster.ring_size == 1
+
+
+def test_a_cluster_of_one_is_never_emptied_by_enclave_losses():
+    plan = FaultPlan(seed=0)
+    config = DeploymentConfig(seed=11, k=2,
+                              proxy_options={"fault_plan": plan})
+    with XSearchDeployment.create(config=config) as deployment:
+        handle = plan.block(SITE_ECALL, KIND_CRASH)
+        with pytest.raises(ReproError):
+            deployment.client.search("museum train", limit=2)
+        plan.unblock(handle)
+        assert isinstance(
+            deployment.client.search("river cruise", limit=2), list)
+        assert deployment.cluster.healthy_ids() == ("replica-0",)
+        assert deployment.cluster.failovers == 0
+
+
+def test_replicas_losing_at_once_never_retire_each_other():
+    """Two replicas crossing the loss threshold together: the retire
+    decision and the retirement share one locked section, so exactly
+    one of them is retired and the ring never empties."""
+    stub = SimpleNamespace(history_checkpoint=None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            cluster = XSearchCluster([
+                ReplicaHandle(f"replica-{index}", index, stub, None)
+                for index in range(2)
+            ])
+            barrier = threading.Barrier(2, timeout=10)
+
+            def lose_twice(replica_id, cluster=cluster, barrier=barrier):
+                cluster._note_loss(replica_id)
+                barrier.wait()
+                cluster._note_loss(replica_id)
+
+            threads = [threading.Thread(target=lose_twice, args=(replica_id,))
+                       for replica_id in ("replica-0", "replica-1")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(cluster.healthy_ids()) == 1
+            assert cluster.ring_size == 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_lost_sessions_give_up_their_pins():
     """A session lost with its enclave leaves no pin behind: its broker
-    heals under a new id, so after three crashes the router still pins
+    heals under a new id, so after three crashes the cluster still pins
     exactly the sessions the enclaves hold.  Each client heals under ids
     the ring pins to its first replica, so every crash of replica 0
     costs its two pinned clients their sessions (a random heal id could
@@ -344,8 +421,8 @@ def test_lost_sessions_give_up_their_pins():
             for replica_id in members
             for sid in _ids_on(replica_id, 2, members, prefix="pin")
         ]
-        router = deployment.cluster.router
-        assert router.session_count == 5
+        cluster = deployment.cluster
+        assert cluster.session_count == 5
         for _ in range(3):
             plan.trigger(SITE_ECALL, KIND_CRASH)
             for client in clients:
@@ -354,8 +431,8 @@ def test_lost_sessions_give_up_their_pins():
         live = sum(len(handle.proxy.enclave._instance._sessions)
                    for handle in deployment.cluster.replicas)
         assert sum(c._broker.reconnects for c in clients[1:]) >= 3
-        assert router.session_count == live == 5
-        assert router.failovers == 0
+        assert cluster.session_count == live == 5
+        assert cluster.failovers == 0
 
 
 # ----------------------------------------------------------------------
@@ -364,20 +441,20 @@ def test_lost_sessions_give_up_their_pins():
 def test_add_replica_rebalances_only_future_sessions():
     config = DeploymentConfig(seed=11, k=2, replicas=2, connect=False)
     with XSearchDeployment.create(config=config) as deployment:
-        router = deployment.cluster.router
+        cluster = deployment.cluster
         ids = [f"grow-{i:03d}" for i in range(10)]
         for session_id in ids:
-            router.for_session(session_id)
-        pins_before = {sid: router.pinned(sid) for sid in ids}
+            cluster.for_session(session_id)
+        pins_before = {sid: cluster.pinned(sid) for sid in ids}
 
         handle = deployment.cluster.add_replica()
         assert handle.replica_id == "replica-2"
-        assert deployment.cluster.size == 3
+        assert len(deployment.cluster.replicas) == 3
         # Live pins are sticky; only the un-pinned preview moves, and
         # the keys that move all belong to the newcomer.
         for session_id in ids:
-            assert router.pinned(session_id) == pins_before[session_id]
-        preview = router.ring_map(ids)
+            assert cluster.pinned(session_id) == pins_before[session_id]
+        preview = cluster.ring_map(ids)
         moved = [sid for sid in ids
                  if preview[sid] != pins_before[sid]]
         assert all(preview[sid] == "replica-2" for sid in moved)
@@ -402,7 +479,7 @@ def test_remove_replica_drains_gracefully():
         # broker pins one extra, randomly-named session that may ride
         # along).
         assert moved >= 1
-        assert deployment.cluster.router.healthy_ids() == ("replica-0",)
+        assert deployment.cluster.healthy_ids() == ("replica-0",)
         assert isinstance(client.search("river cruise", limit=2), list)
 
 
@@ -411,20 +488,23 @@ def test_remove_replica_drains_gracefully():
 # ----------------------------------------------------------------------
 def test_minted_clients_share_the_single_replica_frontend():
     # Regression guard: minted clients must go through
-    # deployment.frontend — the replica's scheduler — never straight at
-    # a proxy (which would bypass coalescing).
+    # deployment.frontend — the cluster, which dispatches to the
+    # replica's scheduler — never straight at a proxy (which would
+    # bypass coalescing).
     config = DeploymentConfig(seed=11, k=2, max_workers=2)
     with XSearchDeployment.create(config=config) as deployment:
-        assert deployment.frontend is deployment.scheduler
+        assert deployment.frontend is deployment.cluster
         minted = deployment.client(user_id="aux")
-        assert minted._broker._proxy is deployment.scheduler
+        channel = minted._broker._proxy
+        assert type(channel).__name__ == "_SessionChannel"
+        assert channel.replica_id == "replica-0"
         assert isinstance(minted.search("museum train", limit=2), list)
 
 
 def test_minted_clients_route_through_the_cluster_router():
     config = DeploymentConfig(seed=11, k=2, replicas=2)
     with XSearchDeployment.create(config=config) as deployment:
-        assert deployment.frontend is deployment.cluster.router
+        assert deployment.frontend is deployment.cluster
         minted = deployment.client(user_id="aux")
         channel = minted._broker._proxy
         assert type(channel).__name__ == "_SessionChannel"

@@ -34,10 +34,6 @@ def test_config_validates_its_fields():
         DeploymentConfig(max_workers=0)
     with pytest.raises(ValueError):
         DeploymentConfig(max_workers=None)
-    with pytest.raises(ValueError):
-        DeploymentConfig(vnodes=0)
-    with pytest.raises(ValueError):
-        DeploymentConfig(failover_threshold=0)
 
 
 def test_config_owns_copies_of_its_dicts():
@@ -89,20 +85,21 @@ def test_proxy_passthroughs_ride_in_proxy_options():
 # ----------------------------------------------------------------------
 # Uniform cluster surface
 # ----------------------------------------------------------------------
-def test_single_replica_deployment_fronts_its_scheduler():
+def test_single_replica_deployment_fronts_the_cluster():
     config = DeploymentConfig(seed=11, k=2, connect=False)
     with XSearchDeployment.create(config=config) as deployment:
-        assert deployment.cluster.size == 1
-        # One replica needs no router: brokers talk to its scheduler.
-        assert deployment.frontend is deployment.scheduler
+        assert len(deployment.cluster.replicas) == 1
+        # A single replica is a cluster of one: brokers talk to the
+        # cluster, which dispatches to the replica's scheduler.
+        assert deployment.frontend is deployment.cluster
         assert deployment.scheduler is deployment.cluster.replicas[0].scheduler
 
 
-def test_multi_replica_deployment_fronts_the_router():
+def test_multi_replica_deployment_fronts_the_cluster():
     config = DeploymentConfig(seed=11, k=2, replicas=2, connect=False)
     with XSearchDeployment.create(config=config) as deployment:
-        assert deployment.cluster.size == 2
-        assert deployment.frontend is deployment.cluster.router
+        assert len(deployment.cluster.replicas) == 2
+        assert deployment.frontend is deployment.cluster
         assert deployment.proxy is deployment.cluster.replicas[0].proxy
 
 

@@ -475,7 +475,7 @@ def test_concurrent_deployment_serves_many_clients():
     config = DeploymentConfig(seed=5, k=2, max_workers=3)
     with XSearchDeployment.create(config=config) as deployment:
         assert deployment.scheduler is not None
-        assert deployment.frontend is deployment.scheduler
+        assert deployment.frontend is deployment.cluster
         clients = [deployment.client(user_id=f"user-{i}")
                    for i in range(6)]
         results = {}
@@ -765,12 +765,12 @@ def test_duplicate_record_ends_in_the_replay_error(small_engine):
     proxy.close()
 
 
-def test_default_frontend_is_a_request_scheduler():
+def test_default_deployment_starts_no_threads():
     before = set(threading.enumerate())
     with XSearchDeployment.create(
             config=DeploymentConfig(seed=5, k=2)) as deployment:
-        assert isinstance(deployment.frontend, RequestScheduler)
-        assert deployment.frontend is deployment.scheduler
+        assert deployment.frontend is deployment.cluster
+        assert isinstance(deployment.scheduler, RequestScheduler)
         assert deployment.scheduler.proxy is deployment.proxy
         # Neither the scheduler nor anything else in the deployment
         # starts a thread: every crossing runs on its submitter's.

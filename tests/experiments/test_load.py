@@ -150,8 +150,7 @@ def test_balanced_session_ids_spread_lanes_evenly():
     for replicas in (1, 2, 4):
         ids = Cluster(replicas)._balanced_session_ids(16)
         assert len(ids) == len(set(ids)) == 16
-        ring = HashRing([f"replica-{i}" for i in range(replicas)],
-                        vnodes=64)
+        ring = HashRing([f"replica-{i}" for i in range(replicas)])
         counts = {}
         for session_id in ids:
             owner = ring.route(session_id)

@@ -188,9 +188,7 @@ def test_goodbye_round_trip():
 
 def test_attest_ok_round_trip(served):
     deployment, _server = served
-    channel = deployment.frontend
-    if hasattr(channel, "for_session"):
-        channel = channel.for_session("wire-attest-ok")
+    channel = deployment.frontend.for_session("wire-attest-ok")
     verdict = channel.attestation_evidence()
     public = channel.channel_public()
     payload = wire.encode_attest_ok(verdict, public)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.cluster import SessionRouter
+from repro.core.cluster import XSearchCluster
 from repro.sim import WorldSpec, run_sim
 from repro.sim.explore import explore
 from repro.sim.invariants import INVARIANTS
@@ -98,7 +98,7 @@ def test_sealed_convergence_counts_the_absorb_of_a_racing_failover():
 
 
 def test_sealed_convergence_catches_a_skipped_replay(monkeypatch):
-    monkeypatch.setattr(SessionRouter, "_replay_checkpoint",
+    monkeypatch.setattr(XSearchCluster, "_replay_checkpoint",
                         lambda self, handle: None)
     spec = WorldSpec(seed=9, chaos=("kill", "checkpoint", "outage",
                                     "advance"))
