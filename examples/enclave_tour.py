@@ -26,9 +26,10 @@ def main():
 
     print("1. Measurement & attestation")
     print(f"   enclave measurement : {proxy.measurement}")
-    verdict = proxy.attestation_evidence()
+    verdict, public = proxy.attestation_evidence("tour")
     print(f"   attestation verdict : {verdict.status} "
           f"(platform {verdict.quote.platform_id.hex()[:8]}…)")
+    print(f"   bound channel key   : {public.hex()[:16]}…")
 
     print("\n2. A client refusing a modified proxy")
     from repro.core.broker import Broker

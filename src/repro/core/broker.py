@@ -4,12 +4,22 @@ The broker "runs within the client's domain, such as a local daemon
 process executing alongside the client's Web browser" and is in charge of
 the SGX attestation step.  Before sending a single query it:
 
-1. obtains the signed attestation verdict for the proxy's enclave;
+1. obtains, in one call, the signed attestation verdict for the proxy's
+   enclave and the channel key that enclave's quote binds;
 2. verifies the attestation-service signature, the enclave measurement
    against the published X-Search measurement, and that the quote binds
-   the channel key it is about to use;
+   that channel key;
 3. establishes the encrypted tunnel whose end point lives inside the
    enclave.
+
+The broker binds one *frontend* and names its session in every call to
+it: ``attestation_evidence(session_id)``, ``begin_session(session_id,
+hello)``, ``request(session_id, record)`` and ``request_batch(batch)``.
+An :class:`~repro.core.cluster.XSearchCluster` routes each call to the
+replica the session is pinned to, a
+:class:`~repro.netserve.client.RemoteFrontend` sends it as one frame,
+and a bare :class:`~repro.core.proxy.XSearchProxyHost` serves it from
+its one enclave.
 
 Only then do queries flow: broker encrypts → enclave decrypts, executes,
 encrypts results → broker decrypts and hands them to the web client.
@@ -39,7 +49,6 @@ from __future__ import annotations
 import secrets
 
 from repro.core.protocol import Ack, IngestRequest, SearchRequest, SearchResponse
-from repro.core.proxy import XSearchProxyHost
 from repro.core.retry import (
     DEFAULT_BROKER_RETRY,
     RetryPolicy,
@@ -64,6 +73,9 @@ DEFAULT_LIMIT = 20
 class Broker:
     """The local daemon mediating between a web client and the proxy.
 
+    ``frontend`` is what the broker calls (see the module docstring):
+    a cluster, a remote frontend or a proxy host.
+
     ``retry_policy`` is the default recovery policy for the query path
     (enclave-loss heal-and-retry); individual calls may override it.
     ``clock`` is injectable so tests drive backoff on a virtual clock,
@@ -73,15 +85,15 @@ class Broker:
     cryptographically random default.
 
     ``_exchange_lock`` is held from sealing a record to opening its
-    reply, heals included, so the session's endpoint, id and channel
-    only change under it.  An uncontended acquire takes no simulation
+    reply, heals included, so the session's endpoint and id only change
+    under it.  An uncontended acquire takes no simulation
     step.
     """
 
     #: Whether the most recent response was served in degraded mode.
     last_degraded = False
 
-    def __init__(self, proxy: XSearchProxyHost, *,
+    def __init__(self, frontend, *,
                  service_public_key,
                  expected_measurement: Measurement,
                  session_id: str = None,
@@ -97,15 +109,7 @@ class Broker:
             session_id if session_id is not None
             else self._mint_session_id()
         )
-        # Against a cluster (or a remote server) the broker binds a
-        # per-session channel: every call is routed to the replica its
-        # session is pinned to (and, after a failover, to the survivor
-        # that inherited it).  A bare proxy host is called directly.
-        self._frontend = proxy if hasattr(proxy, "for_session") else None
-        self._proxy = (
-            self._frontend.for_session(self._session_id)
-            if self._frontend is not None else proxy
-        )
+        self._proxy = frontend
         self._endpoint = None
         self._retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_BROKER_RETRY
@@ -152,8 +156,8 @@ class Broker:
             )
 
     def _connect_once_locked(self) -> None:
-        verdict = self._proxy.attestation_evidence()
-        enclave_public = self._proxy.channel_public()
+        verdict, enclave_public = self._proxy.attestation_evidence(
+            self._session_id)
         self._verifier.verify(
             verdict,
             expected_report_data=report_data_for_key(enclave_public),
@@ -195,16 +199,14 @@ class Broker:
 
         The old id may be half-established on some enclave, evicted, or
         pinned to a dead replica, so the channel and attestation go with
-        it.  Against a cluster the session channel is re-bound under the
-        new id: if the old replica was retired, the consistent-hash ring
-        now lands the session on a survivor (which absorbed the dead
-        replica's checkpoint).
+        it.  Every frontend call names the new id: against a cluster, if
+        the old replica was retired, the consistent-hash ring now lands
+        the session on a survivor (which absorbed the dead replica's
+        checkpoint).
         """
         self._endpoint = None
         self.attested = False
         self._session_id = self._mint_session_id()
-        if self._frontend is not None:
-            self._proxy = self._frontend.for_session(self._session_id)
 
     def _mint_session_id(self) -> str:
         if self._session_ids is not None:

@@ -7,7 +7,9 @@ of N ≥ 1 *independent* replicas (each its own
 :class:`~repro.core.proxy.XSearchProxyHost`,
 :class:`~repro.core.scheduler.RequestScheduler` and sealed history),
 and the cluster consistent-hash-pins every broker session to one
-replica.  A single replica is a cluster of one.
+replica.  A single replica is a cluster of one.  Brokers call the
+cluster itself, naming their session in every call; a session is
+pinned on its first routed call, its attestation.
 
 Pinning is the privacy-preserving choice, not just the cheap one: a
 session's past queries live in exactly one enclave's history, so the
@@ -53,6 +55,7 @@ import threading
 from repro.errors import (
     EnclaveError,
     EnclaveLostError,
+    ProtocolError,
     ReproError,
     SessionLostError,
 )
@@ -96,9 +99,6 @@ class HashRing:
         for member in members:
             self.add(member)
 
-    def members(self) -> tuple:
-        return tuple(sorted(self._members))
-
     def __len__(self) -> int:
         return len(self._members)
 
@@ -138,7 +138,8 @@ class ReplicaHandle:
     """One enclave replica: its proxy host and the scheduler in front.
 
     Deliberately dumb — health state lives in the cluster, under the
-    cluster's locks.  Traffic is dispatched to the scheduler.
+    cluster's locks.  Attestation and handshakes go to the proxy,
+    requests to the scheduler.
     """
 
     __slots__ = ("replica_id", "index", "proxy", "scheduler")
@@ -163,55 +164,6 @@ class ReplicaHandle:
         return f"<replica {self.replica_id}>"
 
 
-class _SessionChannel:
-    """A broker's handle on the cluster: one session's routed frontend.
-
-    Quacks like the single-proxy surface the broker already speaks
-    (``attestation_evidence`` / ``channel_public`` / ``begin_session`` /
-    ``request`` / ``request_batch``), resolving the session's current
-    pin on every call.  After a failover the pin points at a survivor,
-    so the broker's ordinary heal — re-attest, new session, new keys —
-    lands it on the replica that inherited its history.
-    """
-
-    __slots__ = ("_cluster", "_session_id")
-
-    def __init__(self, cluster: "XSearchCluster", session_id: str):
-        self._cluster = cluster
-        self._session_id = session_id
-
-    @property
-    def session_id(self) -> str:
-        return self._session_id
-
-    @property
-    def replica_id(self):
-        return self._cluster.pinned(self._session_id)
-
-    def attestation_evidence(self):
-        return self._cluster._dispatch(self._session_id,
-                                       "attestation_evidence")
-
-    def channel_public(self) -> bytes:
-        return self._cluster._dispatch(self._session_id, "channel_public")
-
-    def begin_session(self, session_id: str, client_hello: bytes) -> None:
-        return self._cluster._dispatch(self._session_id, "begin_session",
-                                       session_id, client_hello)
-
-    def request(self, session_id: str, record: bytes) -> bytes:
-        return self._cluster._dispatch(self._session_id, "request",
-                                       session_id, record)
-
-    def request_batch(self, batch) -> tuple:
-        return self._cluster._dispatch(self._session_id, "request_batch",
-                                       batch)
-
-    def __repr__(self) -> str:
-        return (f"<session channel {self._session_id!r} "
-                f"→ {self.replica_id!r}>")
-
-
 class XSearchCluster:
     """N ≥ 1 independent enclave replicas behind one consistent-hash
     ring, with replica health tracking.
@@ -220,6 +172,12 @@ class XSearchCluster:
     (``DeploymentConfig(replicas=N)``), which wires shared attestation,
     a shared sealing platform and per-replica fault plans; or construct
     it directly from pre-built :class:`ReplicaHandle`\\ s in tests.
+
+    Brokers bind the cluster itself.  Each of its four calls —
+    :meth:`attestation_evidence`, :meth:`begin_session`,
+    :meth:`request` and :meth:`request_batch` — names its session and
+    is routed to the replica that session is pinned to (after a
+    failover, the survivor that inherited it).
 
     Two locks, acquired ring-before-health everywhere (and registered
     with xlint's ``LOCK_ORDER``): ``_ring_lock`` guards membership, the
@@ -318,12 +276,6 @@ class XSearchCluster:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def for_session(self, session_id: str) -> _SessionChannel:
-        """A per-session frontend, pinned now so the map is stable."""
-        with self._ring_lock:
-            self._resolve_locked(session_id)
-        return _SessionChannel(self, session_id)
-
     def pinned(self, session_id: str):
         """The session's current pin, or ``None`` if never routed or
         lost."""
@@ -354,9 +306,46 @@ class XSearchCluster:
         return self._replicas[target]
 
     # ------------------------------------------------------------------
+    # The frontend brokers bind: every call names its session
+    # ------------------------------------------------------------------
+    def attestation_evidence(self, session_id: str) -> tuple:
+        """``(verdict, channel_public)`` from the session's replica; the
+        session's first routed call, so this is where it is pinned."""
+        return self._dispatch(
+            session_id, "attestation_evidence",
+            lambda replica: replica.proxy.attestation_evidence(session_id))
+
+    def begin_session(self, session_id: str, client_hello: bytes) -> bytes:
+        return self._dispatch(
+            session_id, "begin_session",
+            lambda replica: replica.proxy.begin_session(session_id,
+                                                        client_hello))
+
+    def request(self, session_id: str, record: bytes) -> bytes:
+        return self._dispatch(
+            session_id, "request",
+            lambda replica: replica.scheduler.request(session_id, record))
+
+    def request_batch(self, batch) -> tuple:
+        """One session's batch, through its replica's scheduler.  A
+        batch naming several sessions is refused before anything
+        crosses: routing follows one session, and a replica does not
+        know another replica's sessions."""
+        batch = list(batch)
+        sessions = {session_id for session_id, _ in batch}
+        if len(sessions) != 1:
+            raise ProtocolError("a batch must name a single session")
+        return self._dispatch(
+            batch[0][0], "request_batch",
+            lambda replica: replica.scheduler.request_batch(batch))
+
+    # ------------------------------------------------------------------
     # Dispatch with health accounting
     # ------------------------------------------------------------------
-    def _dispatch(self, session_id: str, name: str, *args):
+    def _dispatch(self, session_id: str, name: str, call):
+        """``call(replica)`` on the session's replica, pinning the
+        session first if it has no live pin; ``name`` labels the step
+        and the span."""
         with self._ring_lock:
             replica = self._resolve_locked(session_id)
         replica_id = replica.replica_id
@@ -367,7 +356,7 @@ class XSearchCluster:
         with span(self._recorder, f"cluster.{name}",
                   placement=PLACEMENT_HOST, replica=replica_id):
             try:
-                result = getattr(replica.scheduler, name)(*args)
+                result = call(replica)
             except SessionLostError:
                 # The session is gone, not the replica.  Its keys are
                 # gone too and its broker heals under a new id, so the

@@ -112,10 +112,6 @@ class EngineGateway:
         # payloads out of host spans regardless.
         self.recorder = recorder
 
-    def install_fault_plan(self, plan) -> None:
-        """Attach (or detach, with ``None``) a fault plan at runtime."""
-        self.fault_plan = plan
-
     def reset_connections(self) -> None:
         """Drop every open descriptor (host cleanup after an enclave
         loss: the dead enclave's pooled sockets are closed by the OS)."""

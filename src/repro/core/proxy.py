@@ -108,7 +108,6 @@ from repro.obs.tracing import PLACEMENT_ENCLAVE, event, span
 from repro.sim import hooks
 from repro.sgx.attestation import (
     AttestationService,
-    AttestationVerdict,
     QuotingEnclave,
     report_data_for_key,
 )
@@ -1006,13 +1005,17 @@ class XSearchProxyHost:
     def channel_public(self) -> bytes:
         return self._call("channel_public")
 
-    def attestation_evidence(self) -> AttestationVerdict:
+    def attestation_evidence(self, session_id: str) -> tuple:
         """Quote the enclave and have the attestation service verify it.
 
-        Returns the signed verdict a client can check offline against the
-        service's public key.  The quote's report data binds the enclave's
-        channel public value, preventing the host from splicing its own key
-        into the tunnel.
+        Returns ``(verdict, channel_public)``: the signed verdict a
+        client can check offline against the service's public key, and
+        the channel public value the quote's report data binds, which
+        keeps the host from splicing its own key into the tunnel.  Both
+        come from one enclave instance, so an enclave lost in between
+        raises :class:`~repro.errors.EnclaveLostError` instead of
+        pairing one enclave's quote with its successor's key.  A host
+        has one enclave, so ``session_id`` does not change the answer.
         """
         if self._quoting_enclave is None or self._attestation_service is None:
             raise EnclaveError(
@@ -1025,8 +1028,10 @@ class XSearchProxyHost:
                     "injected attestation transient: quoting service "
                     "temporarily unavailable"
                 )
-        quote = self._quoting_enclave.quote_enclave(self._live_enclave())
-        return self._attestation_service.verify_quote(quote)
+        enclave = self._live_enclave()
+        quote = self._quoting_enclave.quote_enclave(enclave)
+        verdict = self._attestation_service.verify_quote(quote)
+        return verdict, enclave.call("channel_public")
 
     # ------------------------------------------------------------------
     # Session relay (all payloads opaque to the host)

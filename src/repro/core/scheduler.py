@@ -54,10 +54,10 @@ resolves the crossing's tickets with an
 :class:`~repro.errors.EnclaveError` naming only the exception type.
 
 The scheduler is deliberately dumb about payloads: it holds ciphertext
-only, opens host-placed spans that record sizes and counts (never
-bytes), and forwards every non-queue call (attestation, handshake,
-checkpointing) straight to the proxy, so it can stand wherever an
-:class:`XSearchProxyHost` stands.
+only and opens host-placed spans that record sizes and counts (never
+bytes).  It queues requests and nothing else: attestation, handshakes
+and checkpointing go to the proxy directly (the cluster routes them
+there).
 """
 
 from __future__ import annotations
@@ -91,13 +91,10 @@ class _Ticket:
 class RequestScheduler:
     """Caller-runs executor over a proxy host.
 
-    Drop-in for the proxy on the broker side: ``request`` and
-    ``request_batch`` enqueue and return once the reply is ready, having
-    usually made the crossing on the calling thread; every other
-    attribute (``attestation_evidence``, ``begin_session``,
-    ``measurement``, ``perf_stats``, …) forwards to the wrapped proxy.
-    ``max_workers`` bounds the crossings in flight at once, as the TCS
-    count does on SGX.
+    ``request`` and ``request_batch`` have the proxy's signatures: they
+    enqueue and return once the reply is ready, having usually made the
+    crossing on the calling thread.  ``max_workers`` bounds the
+    crossings in flight at once, as the TCS count does on SGX.
     """
 
     def __init__(self, proxy, *, max_workers: int = DEFAULT_MAX_WORKERS,
@@ -123,7 +120,7 @@ class RequestScheduler:
             registry.gauge("scheduler.workers").set(max_workers)
 
     # ------------------------------------------------------------------
-    # The proxy-shaped surface brokers program against
+    # The request surface the cluster dispatches to
     # ------------------------------------------------------------------
     def request(self, session_id: str, record: bytes) -> bytes:
         """Submit one opaque record; returns its reply."""
@@ -167,11 +164,6 @@ class RequestScheduler:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __getattr__(self, name):
-        # Everything that is not queue work — attestation, handshakes,
-        # sealing, perf counters, measurement — goes straight through.
-        return getattr(self.proxy, name)
 
     # ------------------------------------------------------------------
     # Submission: enqueue, then combine or wait

@@ -9,11 +9,11 @@ Three layers, outermost first:
   attestation against the expected measurement, the DH handshake, the
   AEAD tunnel — happens *client-side*, exactly as in-process; the
   server relays sealed records it cannot read.
-* :class:`RemoteFrontend` — the broker's view of the far end.  It
-  exposes ``for_session``, so the broker treats the server like a
-  deployment's cluster and re-binds its per-session channel on every heal;
-  the session id travels in each frame and the server routes it to
-  the pinned replica.
+* :class:`RemoteFrontend` — the broker's view of the far end: the same
+  four calls a deployment's cluster answers (``attestation_evidence``,
+  ``begin_session``, ``request``, ``request_batch``), each one frame
+  exchange.  Every call names its session, the id travels in the
+  frame, and the server routes it to the pinned replica.
 * :class:`RemoteTransport` — one TCP connection speaking
   :mod:`repro.netserve.wire`.  It maps transport trouble onto the
   ``repro.errors`` taxonomy: connection loss, stream corruption and
@@ -230,36 +230,24 @@ class RemoteTransport:
             self._registry.counter(metric).inc()
 
 
-class _RemoteChannel:
-    """Per-session view of the server, shaped like a cluster's
-    ``_SessionChannel`` — which is why the broker can treat the
-    :class:`RemoteFrontend` exactly like a cluster."""
+class RemoteFrontend:
+    """What the broker binds to: the frontend calls over the wire, one
+    frame exchange each.  The session id travels in every frame, and
+    the server routes it to the replica the session is pinned to."""
 
-    def __init__(self, transport: RemoteTransport, session_id: str):
-        self._transport = transport
-        self._session_id = session_id
-        self._channel_public = None
+    def __init__(self, transport: RemoteTransport):
+        self.transport = transport
 
-    @property
-    def session_id(self) -> str:
-        return self._session_id
-
-    def attestation_evidence(self):
-        frame = self._transport.call(
-            wire.T_ATTEST, wire.encode_attest(self._session_id),
+    def attestation_evidence(self, session_id: str) -> tuple:
+        """``(verdict, channel_public)``, both from one ``ATTEST_OK``."""
+        frame = self.transport.call(
+            wire.T_ATTEST, wire.encode_attest(session_id),
             expect=wire.T_ATTEST_OK,
         )
-        verdict, public = wire.decode_attest_ok(frame.payload)
-        self._channel_public = public
-        return verdict
-
-    def channel_public(self) -> bytes:
-        if self._channel_public is None:
-            self.attestation_evidence()
-        return self._channel_public
+        return wire.decode_attest_ok(frame.payload)
 
     def begin_session(self, session_id: str, client_hello: bytes) -> bytes:
-        frame = self._transport.call(
+        frame = self.transport.call(
             wire.T_SESSION,
             wire.encode_session(session_id, client_hello),
             expect=wire.T_SESSION_OK,
@@ -267,7 +255,7 @@ class _RemoteChannel:
         return frame.payload
 
     def request(self, session_id: str, record: bytes) -> bytes:
-        frame = self._transport.call(
+        frame = self.transport.call(
             wire.T_SEARCH, wire.encode_search(session_id, record),
             expect=wire.T_REPLY,
         )
@@ -280,7 +268,7 @@ class _RemoteChannel:
 
     def request_batch(self, batch) -> tuple:
         items = list(batch)
-        frame = self._transport.call(
+        frame = self.transport.call(
             wire.T_SEARCH_BATCH, wire.encode_search_batch(items),
             expect=wire.T_REPLY,
         )
@@ -293,18 +281,7 @@ class _RemoteChannel:
         return tuple(replies)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"_RemoteChannel(session={self._session_id!r}, "
-                f"server={self._transport.address})")
-
-
-class RemoteFrontend:
-    """What the broker binds to: a cluster-shaped facade over the wire."""
-
-    def __init__(self, transport: RemoteTransport):
-        self.transport = transport
-
-    def for_session(self, session_id: str) -> _RemoteChannel:
-        return _RemoteChannel(self.transport, session_id)
+        return f"RemoteFrontend(server={self.transport.address})"
 
 
 class RemoteClient:

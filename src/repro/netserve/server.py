@@ -194,14 +194,12 @@ class _Connection:
             return None
         if ftype == wire.T_ATTEST:
             session_id = wire.decode_attest(frame.payload)
-            channel = server._channel_for(session_id)
-            verdict = channel.attestation_evidence()
-            public = channel.channel_public()
+            verdict, public = server._frontend.attestation_evidence(
+                session_id)
             return wire.T_ATTEST_OK, wire.encode_attest_ok(verdict, public)
         if ftype == wire.T_SESSION:
             session_id, hello = wire.decode_session(frame.payload)
-            channel = server._channel_for(session_id)
-            confirmation = channel.begin_session(session_id, hello)
+            confirmation = server._frontend.begin_session(session_id, hello)
             return (wire.T_SESSION_OK,
                     wire.encode_confirmation(confirmation))
         if ftype in _DISPATCH_FRAMES:
@@ -220,17 +218,10 @@ class _Connection:
                   request_bytes=len(frame.payload)):
             if frame.ftype == wire.T_SEARCH:
                 session_id, record = wire.decode_search(frame.payload)
-                channel = server._channel_for(session_id)
-                replies = [channel.request(session_id, record)]
+                replies = [server._frontend.request(session_id, record)]
             else:
                 batch = wire.decode_search_batch(frame.payload)
-                if len({session_id for session_id, _ in batch}) > 1:
-                    # Routing follows one session; a replica does not
-                    # know another replica's sessions.
-                    raise ProtocolError(
-                        "SEARCH_BATCH must name a single session")
-                channel = server._channel_for(batch[0][0])
-                replies = list(channel.request_batch(batch))
+                replies = list(server._frontend.request_batch(batch))
         reply_type = (wire.T_REPLY_DEGRADED if self._reply_degraded()
                       else wire.T_REPLY)
         return reply_type, wire.encode_reply(replies)
@@ -285,11 +276,12 @@ class _Connection:
 class XSearchServer:
     """Threaded TCP server exposing a deployment over the wire protocol.
 
-    ``deployment`` is any object whose ``frontend`` hands out
-    per-session channels through ``for_session`` (and optionally
-    carrying ``recorder`` / ``registry`` hooks) — in practice an
+    ``deployment`` is any object whose ``frontend`` answers the
+    broker's four session-naming calls (and optionally carrying
+    ``recorder`` / ``registry`` hooks) — in practice an
     :class:`~repro.core.deployment.XSearchDeployment`, whose frontend
-    is its cluster for every replica count.  The server does
+    is its cluster for every replica count.  Each frame makes one
+    frontend call.  The server does
     not own the deployment: ``close()`` drains the network layer only.
 
     Bind to ``port=0`` (the default) for an ephemeral port and read the
@@ -311,7 +303,7 @@ class XSearchServer:
             raise ValueError("max_connections must be >= 1")
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive (or None)")
-        self._deployment = deployment
+        self._frontend = deployment.frontend
         self._host = host
         self._port = port
         self.max_connections = max_connections
@@ -471,10 +463,6 @@ class XSearchServer:
     # ------------------------------------------------------------------
     # Dispatch plumbing (called from connection threads)
     # ------------------------------------------------------------------
-    def _channel_for(self, session_id: str):
-        """The per-session view of the deployment's cluster."""
-        return self._deployment.frontend.for_session(session_id)
-
     def _is_draining(self) -> bool:
         with self._state_lock:
             return self._state != _STATE_RUNNING

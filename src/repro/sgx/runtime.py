@@ -200,9 +200,6 @@ class CycleCounter:
                 ocall_counts=self._counts_locked(self._ocall_named),
             )
 
-    def seconds(self, clock_hz: float = DEFAULT_CLOCK_HZ) -> float:
-        return self.cycles / clock_hz
-
 
 @dataclass
 class BoundaryRecord:
@@ -249,9 +246,6 @@ class OcallTable:
         if not callable(handler):
             raise EnclaveError(f"ocall handler {name!r} is not callable")
         self._handlers[name] = handler
-
-    def names(self):
-        return sorted(self._handlers)
 
     def _invoke(self, name: str, *args, **kwargs):
         if name not in self._handlers:

@@ -28,6 +28,7 @@ from repro.core.cluster import _ring_point
 from repro.errors import EnclaveError, ReproError
 from repro.faults import KIND_CRASH, SITE_ECALL, FaultPlan
 from repro.obs import TraceChecker, TraceRecorder
+from repro.sim import hooks
 
 
 def _ids_on(replica_id: str, count: int, members, *,
@@ -108,11 +109,12 @@ def test_sessions_pin_stably_and_match_the_ring_preview():
         ids = [f"pin-{i:03d}" for i in range(12)]
         preview = cluster.ring_map(ids)
         for session_id in ids:
-            channel = cluster.for_session(session_id)
-            assert cluster.pinned(session_id) == preview[session_id]
+            cluster.attestation_evidence(session_id)
+            pin = cluster.pinned(session_id)
+            assert pin == preview[session_id]
             # Re-resolving never migrates a live session.
-            assert cluster.for_session(session_id).replica_id \
-                == channel.replica_id
+            cluster.attestation_evidence(session_id)
+            assert cluster.pinned(session_id) == pin
 
 
 def test_requests_stay_on_the_pinned_replica():
@@ -148,6 +150,53 @@ def test_requests_stay_on_the_pinned_replica():
             and "replica" in span.attributes
         }
         assert len(replicas_touched) <= 1
+
+
+class _DestroyAtDispatch:
+    """A step controller that destroys the dispatching replica's
+    enclave at the ``nth`` ``cluster.dispatch`` step, standing in for a
+    crash on another thread.  It manages no thread, so every thread
+    runs natively."""
+
+    def __init__(self, cluster, nth):
+        self._cluster = cluster
+        self._nth = nth
+        self.ops = []
+        self.destroyed = None
+
+    def manages_current(self):
+        return False
+
+    def on_step(self, site, info):
+        if site != "cluster.dispatch":
+            return
+        self.ops.append(info["op"])
+        if len(self.ops) == self._nth:
+            self.destroyed = info["replica"]
+            self._cluster.replica(self.destroyed).proxy.enclave.destroy()
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_an_enclave_lost_mid_connect_is_retried_not_refused(replicas):
+    """The quote and the channel key it binds come from one enclave:
+    a crash right after attestation costs one connect retry, never an
+    attestation failure."""
+    config = DeploymentConfig(seed=11, k=2, replicas=replicas,
+                              connect=False)
+    with XSearchDeployment.create(config=config) as deployment:
+        members = [h.replica_id for h in deployment.cluster.replicas]
+        ids = iter(_ids_on("replica-0", 2, members, prefix="race"))
+        controller = _DestroyAtDispatch(deployment.cluster, 2)
+        hooks.install(controller)
+        try:
+            client = deployment.client(user_id="race",
+                                       session_ids=ids.__next__)
+        finally:
+            hooks.uninstall(controller)
+        assert controller.destroyed == "replica-0"
+        assert client._broker.is_connected
+        assert controller.ops.count("attestation_evidence") <= 2
+        assert isinstance(client.search("museum train", limit=2), list)
 
 
 def test_router_batches_split_by_pin_and_merge_in_order():
@@ -444,7 +493,7 @@ def test_add_replica_rebalances_only_future_sessions():
         cluster = deployment.cluster
         ids = [f"grow-{i:03d}" for i in range(10)]
         for session_id in ids:
-            cluster.for_session(session_id)
+            cluster.attestation_evidence(session_id)
         pins_before = {sid: cluster.pinned(sid) for sid in ids}
 
         handle = deployment.cluster.add_replica()
@@ -495,9 +544,9 @@ def test_minted_clients_share_the_single_replica_frontend():
     with XSearchDeployment.create(config=config) as deployment:
         assert deployment.frontend is deployment.cluster
         minted = deployment.client(user_id="aux")
-        channel = minted._broker._proxy
-        assert type(channel).__name__ == "_SessionChannel"
-        assert channel.replica_id == "replica-0"
+        assert minted._broker._proxy is deployment.cluster
+        assert deployment.cluster.pinned(
+            minted._broker._session_id) == "replica-0"
         assert isinstance(minted.search("museum train", limit=2), list)
 
 
@@ -506,9 +555,8 @@ def test_minted_clients_route_through_the_cluster_router():
     with XSearchDeployment.create(config=config) as deployment:
         assert deployment.frontend is deployment.cluster
         minted = deployment.client(user_id="aux")
-        channel = minted._broker._proxy
-        assert type(channel).__name__ == "_SessionChannel"
-        assert channel.replica_id in {
+        assert minted._broker._proxy is deployment.cluster
+        assert deployment.cluster.pinned(minted._broker._session_id) in {
             h.replica_id for h in deployment.cluster.replicas
         }
         assert isinstance(minted.search("museum train", limit=2), list)

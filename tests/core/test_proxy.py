@@ -84,7 +84,7 @@ def test_history_grows_with_requests(proxy):
 def test_attestation_config_required(small_engine):
     host = XSearchProxyHost(TrackingSearchEngine(small_engine), k=1)
     with pytest.raises(EnclaveError):
-        host.attestation_evidence()
+        host.attestation_evidence("no-infra")
 
 
 def test_k_and_capacity_change_measurement(small_engine, attestation):

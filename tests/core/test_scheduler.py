@@ -70,9 +70,6 @@ class FakeProxy:
     def close(self):
         self.closed = True
 
-    def measurement(self):
-        return b"fake-measurement"
-
 
 class ExplodingProxy(FakeProxy):
     """Fails its first call with an untyped error quoting a secret."""
@@ -327,12 +324,6 @@ def test_close_rejects_new_work():
     assert not proxy.closed
     scheduler.close(close_proxy=True)
     assert proxy.closed
-
-
-def test_non_queue_calls_forward_to_the_proxy():
-    proxy = FakeProxy()
-    with RequestScheduler(proxy, max_workers=1) as scheduler:
-        assert scheduler.measurement() == b"fake-measurement"
 
 
 def test_parameter_validation():

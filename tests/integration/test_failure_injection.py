@@ -100,8 +100,13 @@ def test_host_cannot_impersonate_enclave_key(stack):
     from repro.crypto.dh import DhKeyPair
 
     host_keypair = DhKeyPair()
-    original = proxy.channel_public
-    proxy.channel_public = lambda: host_keypair.public_bytes()
+    original = proxy.attestation_evidence
+
+    def swapped_key(session_id):
+        verdict, _public = original(session_id)
+        return verdict, host_keypair.public_bytes()
+
+    proxy.attestation_evidence = swapped_key
     try:
         broker = Broker(
             proxy,
@@ -112,7 +117,7 @@ def test_host_cannot_impersonate_enclave_key(stack):
         with pytest.raises(AttestationError):
             broker.connect()
     finally:
-        proxy.channel_public = original
+        proxy.attestation_evidence = original
 
 
 def test_modified_enclave_code_fails_attestation(small_engine, stack):

@@ -59,9 +59,9 @@ def test_server_side_error_is_rebuilt_typed(served, remote):
     """A garbage record reaches the enclave, fails authentication, and
     the typed error crosses the wire intact — connection kept."""
     remote.search("cheap hotel rome")  # establish the session
-    channel = remote.broker._proxy
+    frontend = remote.broker._proxy
     with pytest.raises(ReproError) as info:
-        channel.request(channel.session_id, b"not an AEAD record")
+        frontend.request(remote.broker._session_id, b"not an AEAD record")
     assert isinstance(info.value, (AuthenticationError, ProtocolError))
     # The client-held channel desynchronised nothing (the record never
     # decrypted), and the TCP connection survived the typed error.

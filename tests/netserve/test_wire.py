@@ -188,9 +188,8 @@ def test_goodbye_round_trip():
 
 def test_attest_ok_round_trip(served):
     deployment, _server = served
-    channel = deployment.frontend.for_session("wire-attest-ok")
-    verdict = channel.attestation_evidence()
-    public = channel.channel_public()
+    verdict, public = deployment.frontend.attestation_evidence(
+        "wire-attest-ok")
     payload = wire.encode_attest_ok(verdict, public)
     decoded_verdict, decoded_public = wire.decode_attest_ok(payload)
     assert decoded_public == bytes(public)
